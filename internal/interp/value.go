@@ -67,6 +67,9 @@ func PointerValue(p Pointer, t *minic.Type) Value {
 	return Value{K: VPointer, T: t, P: p}
 }
 
+// Ptr returns the pointer a VPointer value holds.
+func (v Value) Ptr() Pointer { return v.P }
+
 // VoidValue is the result of void expressions.
 func VoidValue() Value { return Value{K: VVoid, T: minic.Void} }
 
