@@ -24,7 +24,7 @@ func (m *Machine) SetFloatArray(p Value, vals []float64) error {
 	if p.K != VPointer {
 		return fmt.Errorf("interp: SetFloatArray target is not a pointer")
 	}
-	ptr := p.P
+	ptr := p.Ptr()
 	for i, v := range vals {
 		cp := ptr
 		cp.Off += i
@@ -41,7 +41,7 @@ func (m *Machine) GetFloatArray(p Value, n int) ([]float64, error) {
 		return nil, fmt.Errorf("interp: GetFloatArray source is not a pointer")
 	}
 	out := make([]float64, n)
-	ptr := p.P
+	ptr := p.Ptr()
 	for i := 0; i < n; i++ {
 		cp := ptr
 		cp.Off += i
@@ -59,7 +59,7 @@ func (m *Machine) SetComplexArray(p Value, vals []complex128) error {
 	if p.K != VPointer {
 		return fmt.Errorf("interp: SetComplexArray target is not a pointer")
 	}
-	ptr := p.P
+	ptr := p.Ptr()
 	for i, v := range vals {
 		cp := ptr
 		cp.Off += i
@@ -76,7 +76,7 @@ func (m *Machine) GetComplexArray(p Value, n int) ([]complex128, error) {
 		return nil, fmt.Errorf("interp: GetComplexArray source is not a pointer")
 	}
 	out := make([]complex128, n)
-	ptr := p.P
+	ptr := p.Ptr()
 	for i := 0; i < n; i++ {
 		cp := ptr
 		cp.Off += i
@@ -96,17 +96,18 @@ func (m *Machine) SetStructComplexArray(p Value, vals []complex128, reOff, imOff
 	if p.K != VPointer {
 		return fmt.Errorf("interp: target is not a pointer")
 	}
-	per := FlatSize(p.P.Elem)
-	base := p.P
+	base := p.Ptr()
+	per := FlatSize(base.Elem)
+	off := base.Off
 	base.Elem = minic.Double
 	for i, v := range vals {
 		re := base
-		re.Off = p.P.Off + i*per + reOff
+		re.Off = off + i*per + reOff
 		if err := m.StoreScalar(re, FloatValue(real(v), minic.Double), minic.Pos{}); err != nil {
 			return err
 		}
 		im := base
-		im.Off = p.P.Off + i*per + imOff
+		im.Off = off + i*per + imOff
 		if err := m.StoreScalar(im, FloatValue(imag(v), minic.Double), minic.Pos{}); err != nil {
 			return err
 		}
@@ -119,19 +120,20 @@ func (m *Machine) GetStructComplexArray(p Value, n, reOff, imOff int) ([]complex
 	if p.K != VPointer {
 		return nil, fmt.Errorf("interp: source is not a pointer")
 	}
-	per := FlatSize(p.P.Elem)
+	base := p.Ptr()
+	per := FlatSize(base.Elem)
+	off := base.Off
 	out := make([]complex128, n)
-	base := p.P
 	base.Elem = minic.Double
 	for i := 0; i < n; i++ {
 		re := base
-		re.Off = p.P.Off + i*per + reOff
+		re.Off = off + i*per + reOff
 		rv, err := m.LoadScalar(re, minic.Pos{})
 		if err != nil {
 			return nil, err
 		}
 		im := base
-		im.Off = p.P.Off + i*per + imOff
+		im.Off = off + i*per + imOff
 		iv, err := m.LoadScalar(im, minic.Pos{})
 		if err != nil {
 			return nil, err

@@ -159,12 +159,12 @@ func (m *Machine) builtinRealloc(old Value, size int64, pos minic.Pos) (Value, e
 	if err != nil {
 		return Value{}, err
 	}
-	if old.K == VPointer && !old.P.IsNull() {
-		oa := old.P.Alloc
+	if old.K == VPointer && old.A != nil {
+		oa := old.A
 		if oa.Freed {
 			return Value{}, m.fault(pos, FaultUseAfterFree, "realloc of freed block")
 		}
-		na := nv.P.Alloc
+		na := nv.A
 		if oa.Cells != nil {
 			na.ElemType = oa.ElemType
 			n := len(oa.Cells)
@@ -196,16 +196,17 @@ func (m *Machine) builtinFree(v Value, pos minic.Pos) error {
 	if v.K != VPointer {
 		return m.fault(pos, FaultBadPointerOp, "free of non-pointer")
 	}
-	if v.P.IsNull() {
+	a := v.A
+	if a == nil {
 		return nil // free(NULL) is a no-op
 	}
-	if v.P.Alloc.Freed {
-		return m.fault(pos, FaultDoubleFree, "double free of %s", v.P.Alloc.Name)
+	if a.Freed {
+		return m.fault(pos, FaultDoubleFree, "double free of %s", a.Name)
 	}
-	if v.P.Off != 0 {
-		return m.fault(pos, FaultBadPointerOp, "free of interior pointer into %s", v.P.Alloc.Name)
+	if v.I != 0 {
+		return m.fault(pos, FaultBadPointerOp, "free of interior pointer into %s", a.Name)
 	}
-	v.P.Alloc.Freed = true
+	a.Freed = true
 	m.liveAllocs--
 	return nil
 }
@@ -214,7 +215,7 @@ func (m *Machine) builtinMemcpy(dst, src Value, nbytes int64, pos minic.Pos) (Va
 	if dst.K != VPointer || src.K != VPointer {
 		return Value{}, m.fault(pos, FaultBadPointerOp, "memcpy of non-pointers")
 	}
-	dp, sp := dst.P, src.P
+	dp, sp := dst.Ptr(), src.Ptr()
 	// Use the source view to size the copy; fall back to the destination.
 	elem := sp.Elem
 	if elem == nil || elem.Kind == minic.TVoid {
@@ -256,7 +257,7 @@ func (m *Machine) builtinMemset(dst Value, val, nbytes int64, pos minic.Pos) (Va
 	if val != 0 {
 		return Value{}, m.fault(pos, FaultUnsupported, "memset with non-zero value %d", val)
 	}
-	p := dst.P
+	p := dst.Ptr()
 	elem := p.Elem
 	if elem == nil || elem.Kind == minic.TVoid || elem.Sizeof() == 0 {
 		return Value{}, m.fault(pos, FaultBadPointerOp, "memset through untyped pointer")
@@ -283,7 +284,7 @@ func (m *Machine) cString(v Value, pos minic.Pos) (string, error) {
 		return "", m.fault(pos, FaultBadPointerOp, "expected string pointer")
 	}
 	var b strings.Builder
-	p := v.P
+	p := v.Ptr()
 	p.Elem = minic.Char
 	for {
 		cv, err := m.LoadScalar(p, pos)

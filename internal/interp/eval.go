@@ -6,7 +6,7 @@ import (
 
 // evalExpr evaluates e as an rvalue.
 func (m *Machine) evalExpr(fr *frame, e minic.Expr) (Value, error) {
-	if err := m.step(e.NodePos()); err != nil {
+	if err := m.step(e); err != nil {
 		return Value{}, err
 	}
 	switch x := e.(type) {
@@ -119,13 +119,20 @@ func (m *Machine) evalIdent(fr *frame, x *minic.IdentExpr) (Value, error) {
 	return m.LoadObject(p, t, x.Pos)
 }
 
-// varAddr returns the storage of a named variable.
+// varAddr returns the storage of a named variable from its slot.
 func (m *Machine) varAddr(fr *frame, x *minic.IdentExpr) (Pointer, error) {
-	if p, ok := fr.locals[x.Def]; ok {
-		return p, nil
-	}
-	if p, ok := m.globals[x.Def]; ok {
-		return p, nil
+	d := x.Def
+	switch {
+	case d.IsStatic():
+		if p := m.globals[d.Slot]; p.Alloc != nil {
+			return p, nil
+		}
+	case inFrame(d):
+		return Pointer{Alloc: &fr.cells, Off: d.Slot, Elem: d.Type}, nil
+	default:
+		if c := fr.cells.Cells[d.Slot]; c.A != nil {
+			return c.Ptr(), nil
+		}
 	}
 	return Pointer{}, m.fault(x.Pos, FaultUnsupported, "no storage for %q", x.Name)
 }
@@ -146,7 +153,7 @@ func (m *Machine) lvalueAddr(fr *frame, e minic.Expr) (Pointer, error) {
 		if v.K != VPointer {
 			return Pointer{}, m.fault(x.Pos, FaultBadPointerOp, "dereference of non-pointer")
 		}
-		p := v.P
+		p := v.Ptr()
 		p.Elem = x.ResultType()
 		return p, nil
 	case *minic.IndexExpr:
@@ -171,7 +178,7 @@ func (m *Machine) indexAddr(fr *frame, x *minic.IndexExpr) (Pointer, error) {
 	}
 	m.Counters.IntOps++
 	elem := x.ResultType()
-	p := base.P
+	p := base.Ptr()
 	p.Elem = elem
 	step := FlatSize(elem)
 	if step == 0 {
@@ -216,7 +223,7 @@ func (m *Machine) memberAddr(fr *frame, x *minic.MemberExpr) (Pointer, error) {
 		if v.K != VPointer {
 			return Pointer{}, m.fault(x.Pos, FaultBadPointerOp, "-> on non-pointer")
 		}
-		base = v.P
+		base = v.Ptr()
 		st = x.X.ResultType().Decay().Elem
 	} else {
 		p, err := m.lvalueAddr(fr, x.X)
@@ -246,11 +253,9 @@ func (m *Machine) evalMember(fr *frame, x *minic.MemberExpr) (Value, error) {
 			ft := x.ResultType()
 			n := FlatSize(ft)
 			if ft.Kind == minic.TStruct {
-				fields := make([]Value, n)
-				copy(fields, v.Fields[off:off+n])
-				return Value{K: VStruct, T: ft, Fields: fields}, nil
+				return structValue(ft, v.leaves()[off:off+n]), nil
 			}
-			return v.Fields[off], nil
+			return v.leaves()[off], nil
 		}
 	}
 	p, err := m.memberAddr(fr, x)
@@ -303,10 +308,10 @@ func (m *Machine) evalUnary(fr *frame, x *minic.UnaryExpr) (Value, error) {
 			nv = truncInt(old.I+delta, old.T)
 		case VFloat:
 			m.Counters.FloatOps++
-			nv = FloatValue(old.F+float64(delta), old.T)
+			nv = FloatValue(old.f64()+float64(delta), old.T)
 		case VPointer:
 			m.Counters.IntOps++
-			nv = PointerValue(PointerAdd(old.P, delta), old.T)
+			nv = PointerValue(PointerAdd(old.Ptr(), delta), old.T)
 		default:
 			return Value{}, m.fault(x.Pos, FaultUnsupported, "%s on %s", x.Op, old.T)
 		}
@@ -334,10 +339,10 @@ func (m *Machine) evalUnary(fr *frame, x *minic.UnaryExpr) (Value, error) {
 			return truncInt(-cv.I, cv.T), nil
 		case VFloat:
 			m.Counters.FloatOps++
-			return FloatValue(-cv.F, cv.T), nil
+			return FloatValue(-cv.f64(), cv.T), nil
 		case VComplex:
 			m.Counters.FloatOps += 2
-			return ComplexValue(-cv.C, cv.T), nil
+			return ComplexValue(-cv.c128(), cv.T), nil
 		}
 	case minic.Plus:
 		return Convert(v, x.ResultType())
@@ -400,12 +405,17 @@ func (m *Machine) applyBinary(op minic.Kind, l, r Value, rt *minic.Type, pos min
 		return m.applyComparison(op, l, r, pos)
 	}
 	// Usual arithmetic conversions to the result type.
+	// Operands already rounded for ct are used as they are: the
+	// operations read only their payload and take the type from ct.
 	ct := minic.UsualArith(l.T, r.T)
-	lc, err := Convert(l, ct)
-	if err != nil {
-		return Value{}, m.fault(pos, FaultBadCast, "%v", err)
+	lc, rc := l, r
+	var err error
+	if !rounded(l, ct) {
+		lc, err = Convert(l, ct)
 	}
-	rc, err := Convert(r, ct)
+	if err == nil && !rounded(r, ct) {
+		rc, err = Convert(r, ct)
+	}
 	if err != nil {
 		return Value{}, m.fault(pos, FaultBadCast, "%v", err)
 	}
@@ -424,6 +434,10 @@ func (m *Machine) applyBinary(op minic.Kind, l, r Value, rt *minic.Type, pos min
 		return Value{}, err
 	}
 	if rt != nil && rt.IsArithmetic() {
+		if rounded(out, rt) {
+			out.T = rt
+			return out, nil
+		}
 		return Convert(out, rt)
 	}
 	return out, nil
@@ -468,7 +482,7 @@ func (m *Machine) applyIntBinary(op minic.Kind, l, r Value, t *minic.Type, pos m
 }
 
 func (m *Machine) applyFloatBinary(op minic.Kind, l, r Value, t *minic.Type, pos minic.Pos) (Value, error) {
-	a, b := l.F, r.F
+	a, b := l.f64(), r.f64()
 	switch op {
 	case minic.Plus:
 		m.Counters.FloatOps++
@@ -488,7 +502,7 @@ func (m *Machine) applyFloatBinary(op minic.Kind, l, r Value, t *minic.Type, pos
 }
 
 func (m *Machine) applyComplexBinary(op minic.Kind, l, r Value, t *minic.Type, pos minic.Pos) (Value, error) {
-	a, b := l.C, r.C
+	a, b := l.c128(), r.c128()
 	switch op {
 	case minic.Plus:
 		m.Counters.FloatOps += 2
@@ -561,19 +575,19 @@ func (m *Machine) applyPointerBinary(op minic.Kind, l, r Value, rt *minic.Type, 
 	switch op {
 	case minic.Plus:
 		if l.K == VPointer {
-			return PointerValue(PointerAdd(l.P, r.Int()), l.T), nil
+			return PointerValue(PointerAdd(l.Ptr(), r.Int()), l.T), nil
 		}
-		return PointerValue(PointerAdd(r.P, l.Int()), r.T), nil
+		return PointerValue(PointerAdd(r.Ptr(), l.Int()), r.T), nil
 	case minic.Minus:
 		if l.K == VPointer && r.K == VPointer {
-			d, err := m.pointerDiff(l.P, r.P, pos)
+			d, err := m.pointerDiff(l.Ptr(), r.Ptr(), pos)
 			if err != nil {
 				return Value{}, err
 			}
 			return LongValue(d), nil
 		}
 		if l.K == VPointer {
-			return PointerValue(PointerAdd(l.P, -r.Int()), l.T), nil
+			return PointerValue(PointerAdd(l.Ptr(), -r.Int()), l.T), nil
 		}
 	case minic.EqEq, minic.NotEq:
 		eq := pointerEq(l, r)
@@ -583,11 +597,11 @@ func (m *Machine) applyPointerBinary(op minic.Kind, l, r Value, rt *minic.Type, 
 		return boolValue(eq), nil
 	case minic.Lt, minic.Gt, minic.Le, minic.Ge:
 		if l.K == VPointer && r.K == VPointer {
-			if l.P.Alloc != r.P.Alloc {
+			if l.A != r.A {
 				return Value{}, m.fault(pos, FaultBadPointerOp,
 					"ordered comparison of pointers into different allocations")
 			}
-			a, b := int64(l.P.Off), int64(r.P.Off)
+			a, b := l.I, r.I
 			return boolValue(compareOrd(op, a < b, a > b, a == b)), nil
 		}
 	}
@@ -597,10 +611,10 @@ func (m *Machine) applyPointerBinary(op minic.Kind, l, r Value, rt *minic.Type, 
 func pointerEq(l, r Value) bool {
 	lp, rp := Pointer{}, Pointer{}
 	if l.K == VPointer {
-		lp = l.P
+		lp = l.Ptr()
 	}
 	if r.K == VPointer {
-		rp = r.P
+		rp = r.Ptr()
 	}
 	return lp.Alloc == rp.Alloc && (lp.Alloc == nil || lp.Off == rp.Off)
 }

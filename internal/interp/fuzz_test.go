@@ -29,6 +29,27 @@ void scale(cpx* x, int n, float k) {
 	`double wave(double t) { return sin(t) * cos(t) + sqrt(t * t); }`,
 	`int idx(int* p, int i) { return p[i]; }`,
 	`long mix(long a, long b) { return (a << 3) ^ (b >> 1) | (a % (b + 1)); }`,
+	// Slot storage: an addressed local keeps its own bounds-checked
+	// Alloc, every other scalar local lives in its frame's cells.
+	`int addr(int i) { int x = i; int* p = &x; *p = *p + 1; return p[i & 1] + x; }`,
+	`int shadow(int x) {
+    int y = x;
+    { int x = y * 2; y = y + x; { int x = 3; y = y * x; } y = y - x; }
+    return y + x;
+}`,
+	`double redecl(int n) {
+    double s = 0;
+    for (int i = 0; i < n; i++) { int k; double d; s = s + k + d; k = i; d = 0.5; }
+    return s;
+}`,
+	`int rec2(int n) { int here = n; if (n > 0) { int below = rec2(n - 1); here = here + below; } return here; }`,
+	`int tally(int n) { static int total = 0; static int hist[4]; total = total + n; hist[n & 3]++; return total + hist[n & 3]; }`,
+	`typedef struct { double re; double im; } cx;
+double mag2(cx* v, int n) {
+    double s = 0;
+    for (int i = 0; i < n; i++) { cx t = v[i & 7]; cx u; u = t; u.im = -t.im; s = s + u.re * t.re - u.im * t.im; }
+    return s;
+}`,
 }
 
 const fuzzFuel = 50_000
@@ -99,4 +120,14 @@ func FuzzInterp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestInterpSeedsCheck keeps the seed corpus meaningful: a seed the
+// frontend rejects would return early and exercise nothing.
+func TestInterpSeedsCheck(t *testing.T) {
+	for i, src := range interpSeedPrograms {
+		if _, err := minic.ParseAndCheck("seed.c", src); err != nil {
+			t.Errorf("seed %d: %v", i, err)
+		}
+	}
 }

@@ -168,7 +168,7 @@ type Machine struct {
 	// default) keeps the step path free of context checks.
 	Ctx context.Context
 
-	globals     map[*minic.VarDecl]Pointer
+	globals     []Pointer // storage of each static slot; nil Alloc until declared
 	funcs       map[string]*minic.FuncDecl
 	nextAllocID int
 	liveAllocs  int
@@ -184,8 +184,10 @@ const (
 )
 
 // ctxPollStride is how many interpreter steps run between context checks.
-// A step costs on the order of 100ns, so 1024 steps bound cancellation
-// latency to roughly 0.1ms while keeping Ctx.Err off the hot path.
+// A step averages about 100 ns over a corpus compile (perfbench's
+// interp.ns_per_step on compile-pinned, 2-core x86-64 host), so 1024
+// steps bound cancellation latency to roughly 0.1 ms while keeping
+// Ctx.Err off the hot path.
 const ctxPollStride = 1024
 
 type ctrl int
@@ -197,10 +199,28 @@ const (
 	ctrlReturn
 )
 
+// frame is one activation. Its cells are indexed by the checker's
+// slots: a frame-resident scalar (see inFrame) lives in its own cell,
+// and any other automatic variable's cell holds a pointer to the
+// variable's Alloc. The cells are never addressable from the program,
+// since a variable whose address is taken is not frame-resident.
 type frame struct {
-	fn     *minic.FuncDecl
-	locals map[*minic.VarDecl]Pointer
-	ret    Value
+	fn    *minic.FuncDecl
+	cells Alloc
+	ret   Value
+}
+
+func newFrame(fn *minic.FuncDecl, slots int) *frame {
+	return &frame{fn: fn, cells: Alloc{Name: "frame", Cells: make([]Value, slots)}}
+}
+
+// inFrame reports whether v lives in its frame cell rather than an Alloc
+// of its own: an automatic scalar whose address is never taken. Arrays,
+// structs and escaping variables keep Allocs, so bounds checks on them
+// stay exact.
+func inFrame(v *minic.VarDecl) bool {
+	return !v.Escapes && !v.IsStatic() &&
+		v.Type.Kind != minic.TArray && v.Type.Kind != minic.TStruct
 }
 
 // NewMachine builds a machine for f and evaluates global initializers.
@@ -210,7 +230,7 @@ func NewMachine(f *minic.File) (*Machine, error) {
 		File:     f,
 		MaxSteps: DefaultMaxSteps,
 		MaxDepth: DefaultMaxDepth,
-		globals:  map[*minic.VarDecl]Pointer{},
+		globals:  make([]Pointer, f.NumGlobals),
 		funcs:    map[string]*minic.FuncDecl{},
 	}
 	for _, fn := range f.Funcs {
@@ -218,13 +238,13 @@ func NewMachine(f *minic.File) (*Machine, error) {
 			m.funcs[fn.Name] = fn
 		}
 	}
-	gf := &frame{locals: map[*minic.VarDecl]Pointer{}}
+	gf := newFrame(nil, 0)
 	for _, g := range f.Globals {
 		p, err := m.allocVar(gf, g)
 		if err != nil {
 			return nil, err
 		}
-		m.globals[g] = p
+		m.globals[g.Slot] = p
 	}
 	return m, nil
 }
@@ -261,7 +281,9 @@ func (m *Machine) faultCause(pos minic.Pos, kind FaultKind, cause error, format 
 	return &RuntimeError{Kind: kind, Pos: pos, Msg: fmt.Sprintf(format, args...), Err: cause}
 }
 
-func (m *Machine) step(pos minic.Pos) error {
+// step charges one step to the node n is about to evaluate. The node's
+// position is read only when the step faults.
+func (m *Machine) step(n minic.Node) error {
 	m.steps++
 	m.Counters.Steps++
 	max := m.MaxSteps
@@ -269,11 +291,11 @@ func (m *Machine) step(pos minic.Pos) error {
 		max = DefaultMaxSteps
 	}
 	if m.steps > max {
-		return m.fault(pos, FaultFuelExhausted, "step limit %d exceeded", max)
+		return m.fault(n.NodePos(), FaultFuelExhausted, "step limit %d exceeded", max)
 	}
 	if m.Ctx != nil && m.steps%ctxPollStride == 0 {
 		if err := m.Ctx.Err(); err != nil {
-			return m.faultCause(pos, FaultCancelled, err,
+			return m.faultCause(n.NodePos(), FaultCancelled, err,
 				"interpretation cancelled: %v", err)
 		}
 	}
@@ -312,7 +334,7 @@ func (m *Machine) Call(fn *minic.FuncDecl, args []Value) (Value, error) {
 	defer func() { m.depth-- }()
 	m.Counters.Calls++
 
-	fr := &frame{fn: fn, locals: map[*minic.VarDecl]Pointer{}}
+	fr := newFrame(fn, fn.NumSlots)
 	for i, prm := range fn.Params {
 		av, err := Convert(args[i], prm.Type)
 		if err != nil {
@@ -323,11 +345,10 @@ func (m *Machine) Call(fn *minic.FuncDecl, args []Value) (Value, error) {
 		if m.Observe != nil && av.K == VInt {
 			m.Observe(prm.Name, av)
 		}
-		p := Pointer{Alloc: m.NewAlloc(prm.Name, prm.Type, 1), Elem: prm.Type}
+		p := m.place(fr, prm, prm.Type, 1)
 		if err := m.StoreObject(p, prm.Type, av, fn.Pos); err != nil {
 			return Value{}, err
 		}
-		fr.locals[prm] = p
 	}
 	c, err := m.execStmt(fr, fn.Body)
 	if err != nil {
@@ -339,13 +360,31 @@ func (m *Machine) Call(fn *minic.FuncDecl, args []Value) (Value, error) {
 	return VoidValue(), nil
 }
 
+// place gives v fresh zeroed storage for count elements of elem and
+// books one allocation either way. A frame-resident scalar re-zeroes its
+// frame cell; anything else gets a new Alloc, which an automatic
+// variable's frame cell records (statics are recorded by the caller
+// once initialized).
+func (m *Machine) place(fr *frame, v *minic.VarDecl, elem *minic.Type, count int) Pointer {
+	if inFrame(v) {
+		m.countAlloc()
+		fr.cells.Cells[v.Slot] = zeroValue(v.Type)
+		return Pointer{Alloc: &fr.cells, Off: v.Slot, Elem: v.Type}
+	}
+	p := Pointer{Alloc: m.NewAlloc(v.Name, elem, count), Elem: v.Type}
+	if !v.IsStatic() {
+		fr.cells.Cells[v.Slot] = PointerValue(p, nil)
+	}
+	return p
+}
+
 // allocVar allocates storage for a declaration and runs its initializer.
 func (m *Machine) allocVar(fr *frame, v *minic.VarDecl) (Pointer, error) {
 	t := v.Type
-	var a *Alloc
+	elem, count := t, 1
 	switch {
 	case t.Kind == minic.TArray && t.ArrayLen >= 0:
-		a = m.NewAlloc(v.Name, t.Elem, t.ArrayLen)
+		elem, count = t.Elem, t.ArrayLen
 	case t.Kind == minic.TArray && t.ArrayLenExpr != nil:
 		n, err := m.evalExpr(fr, t.ArrayLenExpr)
 		if err != nil {
@@ -357,15 +396,13 @@ func (m *Machine) allocVar(fr *frame, v *minic.VarDecl) (Pointer, error) {
 		if FlatSize(t.Elem) == 0 {
 			return Pointer{}, m.fault(v.Pos, FaultUnsupported, "VLA of dynamically sized element")
 		}
-		a = m.NewAlloc(v.Name, t.Elem, int(n.Int()))
+		elem, count = t.Elem, int(n.Int())
 	case t.Kind == minic.TArray:
 		// Incomplete array with no initializer-completed length.
 		return Pointer{}, m.fault(v.Pos, FaultUnsupported, "array %q has unknown length", v.Name)
-	default:
-		a = m.NewAlloc(v.Name, t, 1)
 	}
+	p := m.place(fr, v, elem, count)
 	m.Counters.Allocs++
-	p := Pointer{Alloc: a, Elem: t}
 	if v.Init != nil {
 		if err := m.runInit(fr, p, t, v.Init, v); err != nil {
 			return Pointer{}, err
@@ -420,7 +457,7 @@ func (m *Machine) execStmt(fr *frame, s minic.Stmt) (ctrl, error) {
 	if s == nil {
 		return ctrlNone, nil
 	}
-	if err := m.step(s.NodePos()); err != nil {
+	if err := m.step(s); err != nil {
 		return ctrlNone, err
 	}
 	switch st := s.(type) {
@@ -432,23 +469,19 @@ func (m *Machine) execStmt(fr *frame, s minic.Stmt) (ctrl, error) {
 			// Function-scoped statics allocate and initialize once and
 			// persist across calls (C semantics).
 			if d.Storage == minic.SCStatic {
-				if p, ok := m.globals[d]; ok {
-					fr.locals[d] = p
+				if m.globals[d.Slot].Alloc != nil {
 					continue
 				}
 				p, err := m.allocVar(fr, d)
 				if err != nil {
 					return ctrlNone, err
 				}
-				m.globals[d] = p
-				fr.locals[d] = p
+				m.globals[d.Slot] = p
 				continue
 			}
-			p, err := m.allocVar(fr, d)
-			if err != nil {
+			if _, err := m.allocVar(fr, d); err != nil {
 				return ctrlNone, err
 			}
-			fr.locals[d] = p
 		}
 		return ctrlNone, nil
 	case *minic.BlockStmt:
@@ -501,7 +534,7 @@ func (m *Machine) execStmt(fr *frame, s minic.Stmt) (ctrl, error) {
 					return ctrlNone, err
 				}
 			}
-			if err := m.step(st.Pos); err != nil {
+			if err := m.step(st); err != nil {
 				return ctrlNone, err
 			}
 		}
@@ -526,7 +559,7 @@ func (m *Machine) execStmt(fr *frame, s minic.Stmt) (ctrl, error) {
 				if cond.IsZero() {
 					return ctrlNone, nil
 				}
-				if err := m.step(st.Pos); err != nil {
+				if err := m.step(st); err != nil {
 					return ctrlNone, err
 				}
 			}
@@ -550,7 +583,7 @@ func (m *Machine) execStmt(fr *frame, s minic.Stmt) (ctrl, error) {
 			if c == ctrlReturn {
 				return c, nil
 			}
-			if err := m.step(st.Pos); err != nil {
+			if err := m.step(st); err != nil {
 				return ctrlNone, err
 			}
 		}

@@ -100,22 +100,79 @@ func fieldOffset(t *minic.Type, i int) int {
 
 // NewAlloc creates a typed allocation of count elements of type elem.
 func (m *Machine) NewAlloc(name string, elem *minic.Type, count int) *Alloc {
-	per := FlatSize(elem)
-	leaves := FlatLeaves(elem, nil)
-	cells := make([]Value, count*per)
-	for i := range cells {
-		cells[i] = zeroValue(leaves[i%per])
-	}
-	m.nextAllocID++
-	a := &Alloc{ID: m.nextAllocID, Name: name, Cells: cells, ElemType: elem}
-	m.liveAllocs++
+	a := newCells(count * FlatSize(elem))
+	zeroInto(a.Cells, elem)
+	a.Name, a.ElemType = name, elem
+	m.countAlloc()
+	a.ID = m.nextAllocID
 	return a
+}
+
+// countAlloc books one allocation: the next allocation ID and the live
+// count. Frame-resident scalars call it without building an Alloc, so
+// IDs (and Pointer.AsInt renderings) match a machine that allocated
+// every variable.
+func (m *Machine) countAlloc() {
+	m.nextAllocID++
+	m.liveAllocs++
+}
+
+// cellAlloc is an Alloc with room for its cells in the same heap object
+// when there are few of them: escaping scalars, complex structs and
+// struct values then cost one allocation instead of two.
+type cellAlloc struct {
+	Alloc
+	inline [2]Value
+}
+
+// newCells returns an unnamed Alloc of n untyped cells.
+func newCells(n int) *Alloc {
+	if n <= len(cellAlloc{}.inline) {
+		c := &cellAlloc{}
+		c.Cells = c.inline[:n:n]
+		return &c.Alloc
+	}
+	return &Alloc{Cells: make([]Value, n)}
+}
+
+// zeroInto fills cells, whose length is a multiple of FlatSize(elem),
+// with the zero leaves of consecutive elem objects.
+func zeroInto(cells []Value, elem *minic.Type) {
+	per := FlatSize(elem)
+	if per == 0 || len(cells) == 0 {
+		return
+	}
+	zeroLeaves(cells, elem)
+	for i := per; i < len(cells); i *= 2 {
+		copy(cells[i:], cells[:i])
+	}
+}
+
+// zeroLeaves writes the zero leaves of one t object to the front of dst
+// and returns how many it wrote.
+func zeroLeaves(dst []Value, t *minic.Type) int {
+	switch t.Kind {
+	case minic.TArray:
+		n := 0
+		for i := 0; i < t.ArrayLen; i++ {
+			n += zeroLeaves(dst[n:], t.Elem)
+		}
+		return n
+	case minic.TStruct:
+		n := 0
+		for _, f := range t.Fields {
+			n += zeroLeaves(dst[n:], f.Type)
+		}
+		return n
+	default:
+		dst[0] = zeroValue(t)
+		return 1
+	}
 }
 
 // newRawAlloc creates an untyped malloc block of the given byte size.
 func (m *Machine) newRawAlloc(name string, bytes int) *Alloc {
-	m.nextAllocID++
-	m.liveAllocs++
+	m.countAlloc()
 	return &Alloc{ID: m.nextAllocID, Name: name, RawBytes: bytes}
 }
 
@@ -140,14 +197,8 @@ func (m *Machine) materialize(a *Alloc, elem *minic.Type, pos minic.Pos) error {
 	if size <= 0 {
 		return m.fault(pos, FaultBadCast, "cannot materialize block as %s", elem)
 	}
-	count := a.RawBytes / size
-	per := FlatSize(elem)
-	leaves := FlatLeaves(elem, nil)
-	cells := make([]Value, count*per)
-	for i := range cells {
-		cells[i] = zeroValue(leaves[i%per])
-	}
-	a.Cells = cells
+	a.Cells = make([]Value, a.RawBytes/size*FlatSize(elem))
+	zeroInto(a.Cells, elem)
 	a.ElemType = elem
 	return nil
 }
@@ -201,17 +252,15 @@ func (m *Machine) StoreScalar(p Pointer, v Value, pos minic.Pos) error {
 
 // LoadObject reads an object of type t (possibly a struct) at p.
 func (m *Machine) LoadObject(p Pointer, t *minic.Type, pos minic.Pos) (Value, error) {
-	n := FlatSize(t)
 	if t.Kind != minic.TStruct {
 		return m.LoadScalar(p, pos)
 	}
+	n := FlatSize(t)
 	if err := m.checkAccess(p, n, pos); err != nil {
 		return Value{}, err
 	}
 	m.Counters.Loads += int64(n)
-	fields := make([]Value, n)
-	copy(fields, p.Alloc.Cells[p.Off:p.Off+n])
-	return Value{K: VStruct, T: t, Fields: fields}, nil
+	return structValue(t, p.Alloc.Cells[p.Off:p.Off+n]), nil
 }
 
 // StoreObject writes an object of type t at p. Struct stores copy all
@@ -221,14 +270,14 @@ func (m *Machine) StoreObject(p Pointer, t *minic.Type, v Value, pos minic.Pos) 
 		return m.StoreScalar(p, v, pos)
 	}
 	n := FlatSize(t)
-	if v.K != VStruct || len(v.Fields) != n {
+	if v.K != VStruct || len(v.leaves()) != n {
 		return m.fault(pos, FaultBadCast, "struct store size mismatch")
 	}
 	if err := m.checkAccess(p, n, pos); err != nil {
 		return err
 	}
 	m.Counters.Stores += int64(n)
-	copy(p.Alloc.Cells[p.Off:p.Off+n], v.Fields)
+	copy(p.Alloc.Cells[p.Off:p.Off+n], v.leaves())
 	return nil
 }
 

@@ -25,17 +25,24 @@ const (
 	VStruct
 )
 
-// Value is a runtime MiniC value. Struct values hold their flattened
-// scalar leaves in Fields, mirroring memory layout.
+// Value is a runtime MiniC value. It is 48 bytes, so the evaluator's
+// by-value results stay cheap register-sized copies. K and T say what it
+// is; the payload words mean:
+//
+//	VInt      I is the integer.
+//	VFloat    I holds the float64 bits.
+//	VComplex  I and Y hold the float64 bits of the real and imaginary parts.
+//	VPointer  A is the allocation (nil for NULL), I the cell offset and E
+//	          the element type the pointer views memory as (see Ptr).
+//	VStruct   A is a private allocation whose cells are the flattened
+//	          scalar leaves in layout order (see leaves).
 type Value struct {
-	K ValueKind
 	T *minic.Type
-
-	I      int64
-	F      float64
-	C      complex128
-	P      Pointer
-	Fields []Value
+	A *Alloc
+	E *minic.Type
+	I int64
+	Y uint64
+	K ValueKind
 }
 
 // IntValue returns an int-typed value.
@@ -50,7 +57,7 @@ func FloatValue(f float64, t *minic.Type) Value {
 	if t.Kind == minic.TFloat {
 		f = float64(float32(f))
 	}
-	return Value{K: VFloat, T: t, F: f}
+	return Value{K: VFloat, T: t, I: int64(math.Float64bits(f))}
 }
 
 // ComplexValue returns a complex value of the given complex type, rounding
@@ -59,16 +66,35 @@ func ComplexValue(c complex128, t *minic.Type) Value {
 	if t.Kind == minic.TComplexFloat {
 		c = complex128(complex64(c))
 	}
-	return Value{K: VComplex, T: t, C: c}
+	return Value{K: VComplex, T: t,
+		I: int64(math.Float64bits(real(c))), Y: math.Float64bits(imag(c))}
 }
 
 // PointerValue wraps a pointer.
 func PointerValue(p Pointer, t *minic.Type) Value {
-	return Value{K: VPointer, T: t, P: p}
+	return Value{K: VPointer, T: t, A: p.Alloc, I: int64(p.Off), E: p.Elem}
+}
+
+// structValue returns a struct of type t holding a copy of leaves.
+func structValue(t *minic.Type, leaves []Value) Value {
+	a := newCells(len(leaves))
+	copy(a.Cells, leaves)
+	return Value{K: VStruct, T: t, A: a}
 }
 
 // Ptr returns the pointer a VPointer value holds.
-func (v Value) Ptr() Pointer { return v.P }
+func (v Value) Ptr() Pointer { return Pointer{Alloc: v.A, Off: int(v.I), Elem: v.E} }
+
+// f64 is the payload of a VFloat value.
+func (v Value) f64() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// c128 is the payload of a VComplex value.
+func (v Value) c128() complex128 {
+	return complex(math.Float64frombits(uint64(v.I)), math.Float64frombits(v.Y))
+}
+
+// leaves returns the flattened scalar leaves of a VStruct value.
+func (v Value) leaves() []Value { return v.A.Cells }
 
 // VoidValue is the result of void expressions.
 func VoidValue() Value { return Value{K: VVoid, T: minic.Void} }
@@ -79,11 +105,11 @@ func (v Value) IsZero() bool {
 	case VInt:
 		return v.I == 0
 	case VFloat:
-		return v.F == 0
+		return v.f64() == 0
 	case VComplex:
-		return v.C == 0
+		return v.c128() == 0
 	case VPointer:
-		return v.P.IsNull()
+		return v.A == nil
 	default:
 		return true
 	}
@@ -93,11 +119,11 @@ func (v Value) IsZero() bool {
 func (v Value) Float() float64 {
 	switch v.K {
 	case VFloat:
-		return v.F
+		return v.f64()
 	case VInt:
 		return float64(v.I)
 	case VComplex:
-		return real(v.C)
+		return real(v.c128())
 	default:
 		return 0
 	}
@@ -107,9 +133,9 @@ func (v Value) Float() float64 {
 func (v Value) Complex() complex128 {
 	switch v.K {
 	case VComplex:
-		return v.C
+		return v.c128()
 	case VFloat:
-		return complex(v.F, 0)
+		return complex(v.f64(), 0)
 	case VInt:
 		return complex(float64(v.I), 0)
 	default:
@@ -123,9 +149,9 @@ func (v Value) Int() int64 {
 	case VInt:
 		return v.I
 	case VFloat:
-		return int64(v.F)
+		return int64(v.f64())
 	case VComplex:
-		return int64(real(v.C))
+		return int64(real(v.c128()))
 	default:
 		return 0
 	}
@@ -138,13 +164,14 @@ func (v Value) String() string {
 	case VInt:
 		return fmt.Sprintf("%d", v.I)
 	case VFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.f64())
 	case VComplex:
-		return fmt.Sprintf("(%g%+gi)", real(v.C), imag(v.C))
+		c := v.c128()
+		return fmt.Sprintf("(%g%+gi)", real(c), imag(c))
 	case VPointer:
-		return v.P.String()
+		return v.Ptr().String()
 	case VStruct:
-		return fmt.Sprintf("struct{%d leaves}", len(v.Fields))
+		return fmt.Sprintf("struct{%d leaves}", len(v.leaves()))
 	default:
 		return "?"
 	}
@@ -153,57 +180,58 @@ func (v Value) String() string {
 // Convert coerces v to type t following C conversion rules. Pointer/int
 // conversions are allowed; struct conversions require identical types.
 func Convert(v Value, t *minic.Type) (Value, error) {
-	switch {
-	case t.Kind == minic.TVoid:
+	if rounded(v, t) {
+		v.T = t
+		return v, nil
+	}
+	switch t.Kind {
+	case minic.TVoid:
 		return VoidValue(), nil
-	case t.IsInteger():
+	case minic.TChar, minic.TInt, minic.TLong:
 		var i int64
 		switch v.K {
-		case VInt:
-			i = v.I
-		case VFloat:
-			i = int64(v.F)
-		case VComplex:
-			i = int64(real(v.C))
+		case VInt, VFloat, VComplex:
+			i = v.Int()
 		case VPointer:
-			i = v.P.AsInt()
+			i = v.Ptr().AsInt()
 		default:
 			return Value{}, fmt.Errorf("cannot convert %s to %s", v.T, t)
 		}
 		return truncInt(i, t), nil
-	case t.IsFloat():
+	case minic.TFloat, minic.TDouble:
 		switch v.K {
 		case VInt, VFloat, VComplex:
 			return FloatValue(v.Float(), t), nil
 		default:
 			return Value{}, fmt.Errorf("cannot convert %s to %s", v.T, t)
 		}
-	case t.IsComplex():
+	case minic.TComplexFloat, minic.TComplexDouble:
 		switch v.K {
 		case VInt, VFloat, VComplex:
 			return ComplexValue(v.Complex(), t), nil
 		default:
 			return Value{}, fmt.Errorf("cannot convert %s to %s", v.T, t)
 		}
-	case t.Kind == minic.TPointer:
+	case minic.TPointer:
 		switch v.K {
 		case VPointer:
-			p := v.P
+			out := v
+			out.T = t
 			// Retyping a pointer changes its view; void* keeps the
 			// original view so round-trips through void* are lossless.
 			if t.Elem.Kind != minic.TVoid {
-				p.Elem = t.Elem
+				out.E = t.Elem
 			}
-			return Value{K: VPointer, T: t, P: p}, nil
+			return out, nil
 		case VInt:
 			if v.I == 0 {
-				return Value{K: VPointer, T: t, P: Pointer{}}, nil
+				return Value{K: VPointer, T: t}, nil
 			}
 			return Value{}, fmt.Errorf("cannot convert non-zero integer %d to pointer", v.I)
 		default:
 			return Value{}, fmt.Errorf("cannot convert %s to %s", v.T, t)
 		}
-	case t.Kind == minic.TStruct:
+	case minic.TStruct:
 		if v.K != VStruct {
 			return Value{}, fmt.Errorf("cannot convert %s to %s", v.T, t)
 		}
@@ -213,6 +241,13 @@ func Convert(v Value, t *minic.Type) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("cannot convert %s to %s", v.T, t)
 	}
+}
+
+// rounded reports whether v is a floating value of t's kind. FloatValue
+// and ComplexValue already rounded it for t, so converting it to t only
+// replaces its type.
+func rounded(v Value, t *minic.Type) bool {
+	return (v.K == VFloat || v.K == VComplex) && v.T.Kind == t.Kind
 }
 
 // truncInt narrows an integer to the width/signedness of t.

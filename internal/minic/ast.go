@@ -243,7 +243,19 @@ type VarDecl struct {
 	Storage StorageClass
 	IsParam bool
 	Global  bool
+
+	// Slot is the variable's storage index, assigned by Check: an index
+	// into File.NumGlobals for globals and static locals (see
+	// IsStatic), otherwise into its function's FuncDecl.NumSlots.
+	Slot int
+	// Escapes is set by Check when the program takes the variable's
+	// address with &name.
+	Escapes bool
 }
+
+// IsStatic reports whether the variable has static storage duration: a
+// global or a function-scoped static. Its Slot indexes the globals.
+func (v *VarDecl) IsStatic() bool { return v.Global || v.Storage == SCStatic }
 
 // FuncDecl is a function definition or prototype (Body nil).
 type FuncDecl struct {
@@ -253,6 +265,9 @@ type FuncDecl struct {
 	Params []*VarDecl
 	Body   *BlockStmt // nil for prototypes
 	Static bool
+	// NumSlots is the frame size Check assigns: one slot per parameter
+	// and automatic local.
+	NumSlots int
 }
 
 // StructDecl is a named struct definition.
@@ -276,6 +291,9 @@ type File struct {
 	Globals  []*VarDecl
 	Structs  []*StructDecl
 	Typedefs []*TypedefDecl
+	// NumGlobals is the number of static-storage slots Check assigns
+	// (globals and function-scoped statics).
+	NumGlobals int
 }
 
 // Func returns the function with the given name, or nil.

@@ -94,6 +94,7 @@ type checker struct {
 // called (and succeed) before the interpreter or any analysis runs.
 func Check(f *File) error {
 	c := &checker{file: f, funcs: map[string]*FuncDecl{}}
+	f.NumGlobals = 0
 	for _, fn := range f.Funcs {
 		prev, ok := c.funcs[fn.Name]
 		if ok && prev.Body != nil && fn.Body != nil {
@@ -126,7 +127,20 @@ func Check(f *File) error {
 func (c *checker) push() { c.scopes = append(c.scopes, map[string]*VarDecl{}) }
 func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
-func (c *checker) define(v *VarDecl) { c.scopes[len(c.scopes)-1][v.Name] = v }
+// define brings v into scope and assigns its storage slot. Slots are
+// never reused within a function, so shadowed and sibling-scope locals
+// stay distinct; re-checking a file assigns the same slots again.
+func (c *checker) define(v *VarDecl) {
+	c.scopes[len(c.scopes)-1][v.Name] = v
+	v.Escapes = false
+	if v.IsStatic() {
+		v.Slot = c.file.NumGlobals
+		c.file.NumGlobals++
+	} else {
+		v.Slot = c.cur.NumSlots
+		c.cur.NumSlots++
+	}
+}
 
 func (c *checker) lookup(name string) *VarDecl {
 	for i := len(c.scopes) - 1; i >= 0; i-- {
@@ -143,6 +157,7 @@ func errAt(pos Pos, format string, args ...any) error {
 
 func (c *checker) checkFunc(fn *FuncDecl) error {
 	c.cur = fn
+	fn.NumSlots = 0
 	c.push()
 	defer func() { c.pop(); c.cur = nil }()
 	for _, prm := range fn.Params {
@@ -543,6 +558,9 @@ func (c *checker) checkUnary(x *UnaryExpr) error {
 	case Amp:
 		if !isLvalue(x.X) {
 			return errAt(x.Pos, "cannot take address of non-lvalue")
+		}
+		if id, ok := x.X.(*IdentExpr); ok {
+			id.Def.Escapes = true
 		}
 		x.Type = PointerTo(xt)
 	case PlusPlus, MinusMinus:

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -320,4 +321,102 @@ int g(void) { return 1; }
 int h(void) { return g(); }
 int later(void);
 `)
+}
+
+// slotsOf renders every variable's slot assignment in declaration order.
+func slotsOf(f *File) string {
+	var b strings.Builder
+	for _, g := range f.Globals {
+		fmt.Fprintf(&b, "global %s=%d esc=%v\n", g.Name, g.Slot, g.Escapes)
+	}
+	for _, fn := range f.Funcs {
+		fmt.Fprintf(&b, "func %s slots=%d\n", fn.Name, fn.NumSlots)
+		for _, p := range fn.Params {
+			fmt.Fprintf(&b, "  param %s=%d esc=%v\n", p.Name, p.Slot, p.Escapes)
+		}
+		if fn.Body != nil {
+			walkDecls(fn.Body, func(d *VarDecl) {
+				fmt.Fprintf(&b, "  local %s=%d static=%v esc=%v\n", d.Name, d.Slot, d.IsStatic(), d.Escapes)
+			})
+		}
+	}
+	fmt.Fprintf(&b, "globals=%d\n", f.NumGlobals)
+	return b.String()
+}
+
+func walkDecls(s Stmt, visit func(*VarDecl)) {
+	switch st := s.(type) {
+	case *DeclStmt:
+		for _, d := range st.Decls {
+			visit(d)
+		}
+	case *BlockStmt:
+		for _, sub := range st.List {
+			walkDecls(sub, visit)
+		}
+	case *IfStmt:
+		walkDecls(st.Then, visit)
+		walkDecls(st.Else, visit)
+	case *ForStmt:
+		walkDecls(st.Init, visit)
+		walkDecls(st.Body, visit)
+	case *WhileStmt:
+		walkDecls(st.Body, visit)
+	}
+}
+
+const slotSrc = `
+int g = 1;
+int h;
+int f(int n, int* out) {
+    static int calls = 0;
+    int x = n;
+    int* p = &x;
+    {
+        int x = 2;
+        *out = x;
+    }
+    for (int i = 0; i < n; i++) {
+        int x = i;
+        calls += x;
+    }
+    return *p + calls + g;
+}
+int other(int a) {
+    int b = a;
+    return b + h;
+}`
+
+func TestCheckAssignsSlots(t *testing.T) {
+	f := mustCheck(t, slotSrc)
+	want := `global g=0 esc=false
+global h=1 esc=false
+func f slots=7
+  param n=0 esc=false
+  param out=1 esc=false
+  local calls=2 static=true esc=false
+  local x=2 static=false esc=true
+  local p=3 static=false esc=false
+  local x=4 static=false esc=false
+  local i=5 static=false esc=false
+  local x=6 static=false esc=false
+func other slots=2
+  param a=0 esc=false
+  local b=1 static=false esc=false
+globals=3
+`
+	if got := slotsOf(f); got != want {
+		t.Fatalf("slots:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestCheckTwiceIsIdempotent(t *testing.T) {
+	f := mustCheck(t, slotSrc)
+	first := slotsOf(f)
+	if err := Check(f); err != nil {
+		t.Fatal(err)
+	}
+	if second := slotsOf(f); second != first {
+		t.Fatalf("re-check changed slots:\n%s\nfirst:\n%s", second, first)
+	}
 }
