@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -52,6 +53,7 @@ type Flags struct {
 	Workers int
 
 	prog     string
+	stderr   io.Writer // where WithSignals reports; os.Stderr when nil
 	tr       *obs.Tracer
 	j        *obs.Journal
 	led      *obs.Ledger
@@ -167,17 +169,43 @@ func (f *Flags) WithTrace(ctx context.Context) (context.Context, string) {
 // flushes -trace/-metrics/-journal output via Finish instead of dying
 // with partial files. A second signal kills the process immediately (the
 // handler is uninstalled after the first). Call the returned stop
-// function when signal handling should end.
+// function when signal handling should end; once it returns, nothing
+// more is printed. The interrupt notice is printed only when a signal
+// actually arrived, never because stop or the parent ended the context.
 func (f *Flags) WithSignals(ctx context.Context) (context.Context, context.CancelFunc) {
-	sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	sctx, cancel := context.WithCancel(ctx)
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		<-sctx.Done()
-		if ctx.Err() == nil && sctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "%s: interrupt: finishing up (^C again to kill)\n", f.prog)
+		defer close(exited)
+		defer signal.Stop(sigs)
+		select {
+		case <-sigs:
+			signal.Stop(sigs) // a second signal takes the default action
+			fmt.Fprintf(f.errOut(), "%s: interrupt: finishing up (^C again to kill)\n", f.prog)
+			cancel()
+		case <-done:
+		case <-ctx.Done():
 		}
-		stop()
 	}()
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			close(done)
+			<-exited
+			cancel()
+		})
+	}
 	return sctx, stop
+}
+
+// errOut is where WithSignals reports an interrupt.
+func (f *Flags) errOut() io.Writer {
+	if f.stderr != nil {
+		return f.stderr
+	}
+	return os.Stderr
 }
 
 // FlushOnSignal installs a handler for binaries whose work is not yet
