@@ -244,9 +244,9 @@ type VarDecl struct {
 	IsParam bool
 	Global  bool
 
-	// Slot is the variable's storage index, assigned by Check: an index
-	// into File.NumGlobals for globals and static locals (see
-	// IsStatic), otherwise into its function's FuncDecl.NumSlots.
+	// Slot is the variable's storage index, assigned by Check. It counts
+	// toward File.NumGlobals for globals and static locals (see
+	// IsStatic) and toward its function's FuncDecl.NumSlots otherwise.
 	Slot int
 	// Escapes is set by Check when the program takes the variable's
 	// address with &name.
