@@ -8,8 +8,8 @@ GO ?= go
 all: build test
 
 # Tier-1 gate: formatting + vet + tests + race detector + fuzz smoke +
-# the store crash matrix (a simulated crash at every page write, WAL
-# append and fsync must recover consistently) + the faccd serve smoke
+# the store crash matrix (a simulated crash at every log append, fsync,
+# truncate and rename must recover consistently) + the faccd serve smoke
 # (compile over HTTP, SIGTERM drain, crash-safe store recovery, trace-ID
 # join) + the fleet smoke (3 sharded replicas, kill -9 the digest's
 # owner mid-compile, survivors must rebalance and serve byte-identical
@@ -36,7 +36,7 @@ test-race:
 
 # Fuzz smoke: replay the committed corpus, then a short randomized run of
 # each fuzz target (parser round-trip totality, interpreter
-# fault-not-panic, store page/WAL decoder quarantine-not-panic).
+# fault-not-panic, store record decoder quarantine-not-panic).
 fuzz-smoke:
 	$(GO) test ./internal/minic -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzInterp -fuzztime 10s
@@ -44,8 +44,8 @@ fuzz-smoke:
 	$(GO) test ./internal/synth -run '^$$' -fuzz FuzzCexReplay -fuzztime 10s
 
 # Crash-point injection matrix: the adapter store is crashed at every
-# durable operation (page writes, WAL appends, fsyncs, truncates, the
-# compaction rename) under clean/torn/bit-flip semantics and must
+# durable operation (log appends, fsyncs, truncates, the compaction
+# rename) under clean/torn/bit-flip semantics and must
 # recover to a consistent state every time. CRASH_OUT keeps the report
 # and the quarantine evidence for CI artifact upload.
 crash-matrix:

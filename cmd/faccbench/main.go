@@ -98,7 +98,7 @@ func main() {
 // CRASH_MATRIX.json artifact, -crash-dir the crashed stores themselves
 // (quarantine evidence included). A failing cell fails the run.
 func runCrashMatrix(ctx context.Context, benchOut, crashDir string) error {
-	fmt.Fprintf(os.Stderr, "faccbench: crash matrix (every page write, WAL append and fsync)...\n")
+	fmt.Fprintf(os.Stderr, "faccbench: crash matrix (every log append, fsync, truncate and rename)...\n")
 	cfg := eval.CrashMatrixConfig{}
 	if crashDir != "" {
 		if err := os.MkdirAll(crashDir, 0o755); err != nil {

@@ -9,8 +9,6 @@
 //	      [-drain-timeout 10s] [-tests 10] [-j N] [-faults chaos]
 //	      [-slo-latency 1s] [-slo-objective 0.99] [-flight-recorder 32]
 //	      [-cex-pool counterexamples.jsonl]
-//	      [-store-page-size 4096] [-store-compact-pages 4096]
-//	      [-store-quarantine-files 512] [-store-quarantine-age 168h]
 //	      [-peer-id r0 -peers r0=http://h0:8080,r1=http://h1:8080,...]
 //	      [-probe-interval 1s] [-failure-threshold 3] [-max-hops 3]
 //	      [-tenant-rate 0] [-tenant-burst 0] [-retry-budget 8]
@@ -33,8 +31,8 @@
 //
 // Robustness: identical in-flight requests share one compile
 // (singleflight); finished adapters are memoized in a crash-safe
-// content-addressed store that survives kill -9 (atomic writes, WAL
-// recovery, checksum verification with quarantine — a torn write is
+// content-addressed store that survives kill -9 (an fsynced append-only
+// log, checksum verification with quarantine — a torn write is
 // recompiled, never served); SIGTERM/SIGINT drains gracefully: admission
 // stops, queued and in-flight jobs finish up to -drain-timeout, then
 // stragglers are hard-cancelled.
@@ -77,14 +75,6 @@ func main() {
 		"write the bound address to this file once listening (for scripts)")
 	storeDir := flag.String("store", "faccd-store",
 		"adapter store directory (crash-safe content-addressed cache)")
-	storePage := flag.Int("store-page-size", 0,
-		"store B-tree page size in bytes (0 = default 4096)")
-	storeCompact := flag.Int64("store-compact-pages", 0,
-		"compact the store when it exceeds this many pages and half are dead (0 = default 4096, negative disables)")
-	storeQuarFiles := flag.Int("store-quarantine-files", 0,
-		"keep at most this many quarantined-evidence files (0 = default 512)")
-	storeQuarAge := flag.Duration("store-quarantine-age", 0,
-		"discard quarantined evidence older than this (0 = default 168h)")
 	queue := flag.Int("queue", 64,
 		"admission queue depth; requests beyond it are shed with 429")
 	workers := flag.Int("workers", 0, "concurrent compile workers (0 = GOMAXPROCS)")
@@ -147,12 +137,7 @@ func main() {
 	}
 
 	tr := obs.New()
-	st, err := store.OpenOptions(*storeDir, tr.Metrics(), store.Options{
-		PageSize:           *storePage,
-		AutoCompactPages:   *storeCompact,
-		QuarantineMaxFiles: *storeQuarFiles,
-		QuarantineMaxAge:   *storeQuarAge,
-	})
+	st, err := store.Open(*storeDir, tr.Metrics())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faccd: %v\n", err)
 		os.Exit(1)

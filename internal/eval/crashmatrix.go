@@ -17,13 +17,10 @@ import (
 
 // CrashMatrixConfig shapes the crash-point injection matrix over the
 // adapter store: one probe run enumerates every durable operation
-// (page write, WAL append, fsync, truncate, rename) a representative
-// faccd workload performs, then the workload is re-run once per
-// (site, mode) pair with a simulated crash at exactly that operation.
+// (log append, fsync, truncate, rename) a representative faccd workload
+// performs, then the workload is re-run once per (site, mode) pair with
+// a simulated crash at exactly that operation.
 type CrashMatrixConfig struct {
-	// PageSize for the store under test (default 512: small pages give
-	// deep trees, overflow chains and many distinct page writes).
-	PageSize int
 	// Modes to exercise at every site (default all of
 	// faultinject.CrashModes: clean loss, torn write, bit flip).
 	Modes []faultinject.CrashMode
@@ -36,9 +33,6 @@ type CrashMatrixConfig struct {
 }
 
 func (c *CrashMatrixConfig) defaults() {
-	if c.PageSize == 0 {
-		c.PageSize = 512
-	}
 	if len(c.Modes) == 0 {
 		c.Modes = faultinject.CrashModes
 	}
@@ -53,21 +47,19 @@ type CrashRunResult struct {
 	File string `json:"file"`
 	Mode string `json:"mode"`
 
-	OK               bool   `json:"ok"`
-	Error            string `json:"error,omitempty"`
-	RecoveredPending int64  `json:"recovered_pending,omitempty"`
-	Quarantined      int64  `json:"quarantined,omitempty"`
-	WALTorn          int64  `json:"wal_torn,omitempty"`
-	Healed           int    `json:"healed,omitempty"` // entries recompiled after recovery
+	OK          bool   `json:"ok"`
+	Error       string `json:"error,omitempty"`
+	Quarantined int64  `json:"quarantined,omitempty"`
+	WALTorn     int64  `json:"wal_torn,omitempty"`
+	Healed      int    `json:"healed,omitempty"` // entries recompiled after recovery
 }
 
 // CrashMatrixReport is the CRASH_MATRIX.json artifact.
 type CrashMatrixReport struct {
-	PageSize int      `json:"page_size"`
-	Sites    int      `json:"sites"`
-	Modes    []string `json:"modes"`
-	Runs     int      `json:"runs"`
-	Failed   int      `json:"failed"`
+	Sites  int      `json:"sites"`
+	Modes  []string `json:"modes"`
+	Runs   int      `json:"runs"`
+	Failed int      `json:"failed"`
 	// SiteOps counts enumerated sites by operation kind — the proof the
 	// matrix covered writes, fsyncs, truncates and renames, not just one
 	// flavor of durability.
@@ -79,40 +71,36 @@ type CrashMatrixReport struct {
 func (r *CrashMatrixReport) OK() bool { return r.Failed == 0 }
 
 // crashWorkload drives a representative faccd adapter-store life:
-// several puts (index churn included), a delete, an overwrite that
-// moves an entry between targets, a compaction, and a final put. It
-// stops at the first error — after a simulated crash everything else
-// would fail too.
-func crashWorkload(dir string, vfs faultinject.VFS, pageSize int) error {
-	st, err := store.OpenOptions(dir, obs.New().Metrics(), store.Options{
-		PageSize:         pageSize,
-		VFS:              vfs,
-		AutoCompactPages: -1,
-		// Verification runs on the post-crash reopen; during the
-		// crashing run it would only re-read what was just written.
-		DisableVerifyOnOpen: true,
-	})
+// several puts, an overwrite that moves an entry between targets, a
+// compaction, an overwrite that re-stamps an entry's trace, and more
+// puts. It stops at the first error — after a simulated crash
+// everything else would fail too.
+func crashWorkload(dir string, vfs faultinject.VFS) error {
+	st, err := store.OpenOptions(dir, obs.New().Metrics(), store.Options{VFS: vfs})
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		if err := st.Put(crashKey(i), crashEntry(i)); err != nil {
 			return err
 		}
 	}
-	if err := st.Delete(crashKey(1)); err != nil {
-		return err
-	}
-	moved := crashEntry(2)
-	moved.Target = "vfft"
-	if err := st.Put(crashKey(2), moved); err != nil {
+	if err := st.Put(crashKey(2), crashOverwrite(2)); err != nil {
 		return err
 	}
 	if err := st.Compact(); err != nil {
 		return err
 	}
-	return st.Put(crashKey(5), crashEntry(5))
+	if err := st.Put(crashKey(3), crashOverwrite(3)); err != nil {
+		return err
+	}
+	for i := 8; i < 12; i++ {
+		if err := st.Put(crashKey(i), crashEntry(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func crashKey(i int) string { return fmt.Sprintf("cmkey-%04d", i) }
@@ -127,24 +115,34 @@ func crashEntry(i int) store.Entry {
 	}
 }
 
+// crashOverwrite is the second value the workload writes under
+// crashKey(i): key 2 moves to another target before the compaction, key
+// 3 is re-stamped by a later request after it.
+func crashOverwrite(i int) store.Entry {
+	e := crashEntry(i)
+	if i == 2 {
+		e.Target = "vfft"
+	} else {
+		e.Trace = fmt.Sprintf("trace-%d-again", i)
+	}
+	return e
+}
+
 // crashBaseline is what a run that never crashes leaves behind — the
 // byte-identity reference every recovered (or recompiled) entry is
 // compared against.
 func crashBaseline() map[string]store.Entry {
 	want := map[string]store.Entry{}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 12; i++ {
 		want[crashKey(i)] = crashEntry(i)
 	}
-	delete(want, crashKey(1))
-	moved := crashEntry(2)
-	moved.Target = "vfft"
-	want[crashKey(2)] = moved
-	want[crashKey(5)] = crashEntry(5)
+	want[crashKey(2)] = crashOverwrite(2)
+	want[crashKey(3)] = crashOverwrite(3)
 	return want
 }
 
 // RunCrashMatrix executes the full matrix. Every cell must satisfy the
-// recovery invariants: the store reopens, a full tree check is clean,
+// recovery invariants: the store reopens, a full log check is clean,
 // no surviving entry differs from the no-crash baseline by a single
 // byte, and every lost entry can be recompiled (re-put) to a
 // byte-identical copy. A cell that violates any of them is a Failed
@@ -164,16 +162,15 @@ func RunCrashMatrix(ctx context.Context, cfg CrashMatrixConfig) (*CrashMatrixRep
 	// Probe run: no crash, enumerate the sites.
 	probeDir := root + "/probe"
 	probe := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{})
-	if err := crashWorkload(probeDir, probe, cfg.PageSize); err != nil {
+	if err := crashWorkload(probeDir, probe); err != nil {
 		return nil, fmt.Errorf("crashmatrix: probe workload: %w", err)
 	}
 	sites := probe.Sites()
 	faultinject.SortSites(sites)
 
 	rep := &CrashMatrixReport{
-		PageSize: cfg.PageSize,
-		Sites:    len(sites),
-		SiteOps:  faultinject.SiteOps(sites),
+		Sites:   len(sites),
+		SiteOps: faultinject.SiteOps(sites),
 	}
 	for _, m := range cfg.Modes {
 		rep.Modes = append(rep.Modes, m.String())
@@ -206,17 +203,14 @@ func runCrashCell(root string, site faultinject.CrashSite, mode faultinject.Cras
 
 	dir := fmt.Sprintf("%s/site%03d-%s", root, site.Site, mode)
 	vfs := faultinject.NewCrashVFS(nil, faultinject.CrashPlan{Site: site.Site, Mode: mode})
-	werr := crashWorkload(dir, vfs, cfg.PageSize)
+	werr := crashWorkload(dir, vfs)
 	if !vfs.Crashed() {
 		return fail("planned crash at site %d never fired (workload err: %v)", site.Site, werr)
 	}
 
 	// Reboot on the real file system with full verification.
 	reg := obs.New()
-	st, err := store.OpenOptions(dir, reg.Metrics(), store.Options{
-		PageSize:         cfg.PageSize,
-		AutoCompactPages: -1,
-	})
+	st, err := store.Open(dir, reg.Metrics())
 	if err != nil {
 		return fail("reopen after crash: %v", err)
 	}
@@ -226,7 +220,6 @@ func runCrashCell(root string, site faultinject.CrashSite, mode faultinject.Cras
 	}
 
 	counters := reg.Metrics().Counters()
-	res.RecoveredPending = counters["store.recovered_pending"]
 	res.Quarantined = counters["store.corrupt_quarantined"]
 	res.WALTorn = counters["store.wal_torn"]
 
@@ -234,10 +227,16 @@ func runCrashCell(root string, site faultinject.CrashSite, mode faultinject.Cras
 	// no-crash baseline; anything lost recompiles to a byte-identical
 	// copy. The interrupted operation may legitimately have (not)
 	// landed, so presence is not asserted — content is.
-	for key, want := range crashBaseline() {
+	payload := func(e store.Entry) store.Entry {
+		e.Key, e.Checksum = "", ""
+		return e
+	}
+	baseline := crashBaseline()
+	for i := 0; i < len(baseline); i++ {
+		key, want := crashKey(i), baseline[crashKey(i)]
 		if got, ok := st.Get(key); ok {
-			if got.AdapterC != want.AdapterC && got.AdapterC != crashEntry(2).AdapterC {
-				// crashKey(2) may still hold its pre-overwrite value.
+			// An overwritten key may still hold its first value.
+			if p := payload(got); p != want && p != crashEntry(i) {
 				return fail("entry %s survived with foreign bytes", key)
 			}
 			continue
@@ -251,7 +250,7 @@ func runCrashCell(root string, site faultinject.CrashSite, mode faultinject.Cras
 		if !ok {
 			return fail("entry %s missing after recompile", key)
 		}
-		if got.AdapterC != want.AdapterC || got.Target != want.Target || got.Sig != want.Sig {
+		if payload(got) != want {
 			return fail("recompiled %s differs from baseline", key)
 		}
 		res.Healed++
@@ -274,7 +273,7 @@ func (r *CrashMatrixReport) WriteJSON(w io.Writer) error {
 // WriteText prints the human-readable matrix summary: coverage by
 // operation kind, then every failing cell (or a one-line all-clear).
 func (r *CrashMatrixReport) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "Crash-point injection matrix (page size %d)\n", r.PageSize)
+	fmt.Fprintf(w, "Crash-point injection matrix\n")
 	fmt.Fprintf(w, "  %d sites x %d modes = %d runs, %d failed\n",
 		r.Sites, len(r.Modes), r.Runs, r.Failed)
 	var ops []string
@@ -287,9 +286,8 @@ func (r *CrashMatrixReport) WriteText(w io.Writer) {
 		fmt.Fprintf(&b, " %s=%d", op, r.SiteOps[op])
 	}
 	fmt.Fprintf(w, "  site coverage:%s\n", b.String())
-	recovered, quarantined, healed := int64(0), int64(0), 0
+	quarantined, healed := int64(0), 0
 	for _, res := range r.Results {
-		recovered += res.RecoveredPending
 		quarantined += res.Quarantined + res.WALTorn
 		healed += res.Healed
 		if !res.OK {
@@ -297,8 +295,7 @@ func (r *CrashMatrixReport) WriteText(w io.Writer) {
 				res.Site, res.Op, res.File, res.Mode, res.Error)
 		}
 	}
-	fmt.Fprintf(w, "  WAL replays: %d pages, quarantines: %d, recompiles healed: %d\n",
-		recovered, quarantined, healed)
+	fmt.Fprintf(w, "  quarantines: %d, recompiles healed: %d\n", quarantined, healed)
 	if r.Failed == 0 {
 		fmt.Fprintf(w, "  every crash site recovered consistently\n")
 	}

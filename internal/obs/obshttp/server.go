@@ -156,8 +156,8 @@ type ServeStatus struct {
 	StoreQuarantined int64  `json:"store_quarantined"`
 	StoreBreaker     string `json:"store_breaker_state,omitempty"`
 
-	// Store is the B-tree engine's internals; present when the paged
-	// store has published its gauges.
+	// Store is the log engine's activity; present when a store has
+	// published its gauges.
 	Store *StoreStatus `json:"store,omitempty"`
 }
 
@@ -191,22 +191,14 @@ type FleetStatus struct {
 }
 
 // StoreStatus is the /status block for the crash-safe adapter store's
-// paged B-tree engine: page economy, MVCC snapshot pressure, group
-// commit and WAL activity, and corruption quarantines.
+// append-only log: group commit and compaction activity, torn log tails
+// cut at recovery, and the quarantined evidence kept on disk.
 type StoreStatus struct {
-	Pages     int64 `json:"pages"`
-	FreePages int64 `json:"free_pages"`
-	Snapshots int64 `json:"snapshots"`
-
 	Commits       int64 `json:"commits"`
 	CommitBatches int64 `json:"commit_batches"`
 	Compactions   int64 `json:"compactions"`
 
-	RecoveredPages int64 `json:"recovered_pages"`
-	WALTorn        int64 `json:"wal_torn"`
-	WALResets      int64 `json:"wal_resets"`
-	FreelistLost   int64 `json:"freelist_lost"`
-
+	WALTorn          int64 `json:"wal_torn"`
 	QuarantinedFiles int64 `json:"quarantined_files"`
 }
 
@@ -346,19 +338,13 @@ func (s *Server) BuildStatus() Status {
 		if g, ok := st.Gauges["store.breaker.state"]; ok {
 			st.Serve.StoreBreaker = breakerStateName(int(g))
 		}
-		if pages, ok := st.Gauges["store.pages"]; ok {
+		if quarantined, ok := st.Gauges["store.quarantined"]; ok {
 			st.Serve.Store = &StoreStatus{
-				Pages:            int64(pages),
-				FreePages:        int64(st.Gauges["store.free_pages"]),
-				Snapshots:        int64(st.Gauges["store.snapshots"]),
 				Commits:          st.Counters["store.commits"],
 				CommitBatches:    st.Counters["store.commit_batches"],
 				Compactions:      st.Counters["store.compactions"],
-				RecoveredPages:   st.Counters["store.recovered_pending"],
 				WALTorn:          st.Counters["store.wal_torn"],
-				WALResets:        st.Counters["store.wal_resets"],
-				FreelistLost:     st.Counters["store.freelist_lost"],
-				QuarantinedFiles: int64(st.Gauges["store.quarantined"]),
+				QuarantinedFiles: int64(quarantined),
 			}
 		}
 	}

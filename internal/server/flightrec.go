@@ -35,6 +35,9 @@ type RequestRecord struct {
 	// SLOViolation marks a request that blew the latency target or
 	// failed outright — the events the burn rate counts.
 	SLOViolation bool `json:"slo_violation"`
+	// NoAdapter marks a failed job whose compile answered correctly that
+	// no adapter exists: the service worked, so it is not a failure.
+	NoAdapter bool `json:"no_adapter,omitempty"`
 
 	Spans   []SpanRecord       `json:"spans,omitempty"`
 	Journal []obs.JournalEvent `json:"journal,omitempty"`
@@ -65,16 +68,16 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	return &FlightRecorder{cap: n}
 }
 
-// Observe offers one finished request. Failed requests always enter the
-// failure ring (evicting the oldest); every request competes for the
-// slowest list.
+// Observe offers one finished request. Failed requests other than
+// no-adapter answers always enter the failure ring (evicting the
+// oldest); every request competes for the slowest list.
 func (f *FlightRecorder) Observe(rec *RequestRecord) {
 	if f == nil || rec == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if rec.State == string(Failed) {
+	if rec.State == string(Failed) && !rec.NoAdapter {
 		f.failed = append(f.failed, rec)
 		if len(f.failed) > f.cap {
 			f.failed = f.failed[1:]

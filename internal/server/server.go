@@ -509,13 +509,17 @@ func (s *Server) run(job *Job) {
 	s.observeCompileTime(time.Since(started))
 	cancel()
 
+	// A compile that returns no error but a FailReason answered
+	// correctly that no adapter exists: the job reports failed, but the
+	// service did not fail.
+	noAdapter := err == nil && res.FailReason != ""
 	s.mu.Lock()
 	job.Result = res
 	switch {
 	case err != nil:
 		job.State = Failed
 		job.Err = err.Error()
-	case res.FailReason != "":
+	case noAdapter:
 		job.State = Failed
 	default:
 		job.State = Done
@@ -537,6 +541,8 @@ func (s *Server) run(job *Job) {
 			})
 		}
 		s.reg.Counter("serve.jobs_completed").Inc()
+	} else if noAdapter {
+		s.reg.Counter("serve.no_adapter").Inc()
 	} else {
 		s.reg.Counter("serve.jobs_failed").Inc()
 	}
@@ -549,16 +555,17 @@ func (s *Server) run(job *Job) {
 	// spike in /metrics points at a concrete joinable request.
 	s.reg.Histogram("serve.latency_ms", obs.DurationBucketsMs).
 		ObserveExemplar(latMs, job.Trace)
-	s.observeSLO(job, state, latMs)
+	s.observeSLO(job, state, noAdapter, latMs)
 	close(job.done)
 }
 
 // observeSLO books one executed job against the latency/error objective
 // and retains it in the flight recorder. Failed jobs (including ones
 // felled by injected accelerator faults) always enter the failure ring;
-// every job competes for the slowest list.
-func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
-	violation := state == Failed ||
+// a no-adapter answer is a success and enters neither. Every job
+// competes for the slowest list.
+func (s *Server) observeSLO(job *Job, state JobState, noAdapter bool, latMs float64) {
+	violation := state == Failed && !noAdapter ||
 		latMs > float64(s.cfg.SLOLatency)/float64(time.Millisecond)
 	total := s.reg.Counter("serve.slo_total")
 	total.Inc()
@@ -586,6 +593,7 @@ func (s *Server) observeSLO(job *Job, state JobState, latMs float64) {
 		Err:          job.Err,
 		LatencyMS:    latMs,
 		SLOViolation: violation,
+		NoAdapter:    noAdapter,
 	}
 	s.mu.Unlock()
 	rec.Spans = spanRecords(s.cfg.Tracer.TraceSpans(job.Trace))

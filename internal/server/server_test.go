@@ -241,7 +241,8 @@ func TestServerDedupSingleflight(t *testing.T) {
 // adapter store without recompiling, across server instances.
 func TestServerStoreMemoizes(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, obs.New().Metrics())
+	tr := obs.New()
+	st, err := store.Open(dir, tr.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestServerStoreMemoizes(t *testing.T) {
 		calls++
 		return CompileResult{AdapterC: "/* cached adapter */", Function: "fft"}, nil
 	}
-	s := New(Config{QueueDepth: 4, Workers: 1, Store: st, Compile: countCompile})
+	s := New(Config{QueueDepth: 4, Workers: 1, Store: st, Tracer: tr, Compile: countCompile})
 	ts := httptest.NewServer(s.Handler())
 
 	resp := post(t, ts, compileReq("memoized"), "?wait=1")
@@ -271,6 +272,22 @@ func TestServerStoreMemoizes(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("compile ran %d times, want 1", calls)
+	}
+	// The store's activity shows in the /status serve block.
+	var status obshttp.Status
+	sresp, err := ts.Client().Get(ts.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(sresp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if status.Serve == nil || status.Serve.Store == nil {
+		t.Fatalf("/status has no serve.store block: %+v", status.Serve)
+	}
+	if got := *status.Serve.Store; got != (obshttp.StoreStatus{Commits: 1, CommitBatches: 1}) {
+		t.Fatalf("serve.store = %+v, want one commit in one batch", got)
 	}
 	ts.Close()
 	s.Drain(context.Background())
@@ -485,16 +502,16 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	st.Close()
 
-	// Crash: the page holding the serialized entry is damaged on disk
-	// (a torn write the checksum will catch) and the WAL gains a torn
-	// tail — a record whose durability fsync never completed.
-	corruptStoreDB(t, dir, []byte(`"adapter_c"`))
-	wal, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	// Crash: the record holding the adapter is damaged on disk (a torn
+	// write the checksum will catch) and the log gains a torn tail — a
+	// record whose durability fsync never completed.
+	corruptStoreDB(t, dir, []byte(want[len(want)/2:][:16]))
+	db, err := os.OpenFile(filepath.Join(dir, "store.db"), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal.Write([]byte("FWAL\xff\xff\xff\xff torn mid-append"))
-	wal.Close()
+	db.Write([]byte("FREC\xff\xff\xff\xff torn mid-append"))
+	db.Close()
 
 	// Restart: recovery quarantines the torn entry, the next request
 	// recompiles, and the result matches the baseline byte for byte.
@@ -504,8 +521,9 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := reg2.Metrics().Counters()["store.corrupt_quarantined"]; got != 1 {
-		t.Fatalf("corrupt_quarantined after restart = %d, want 1", got)
+	if c := reg2.Metrics().Counters(); c["store.corrupt_quarantined"] != 1 || c["store.wal_torn"] != 1 {
+		t.Fatalf("after restart: corrupt_quarantined = %d, wal_torn = %d, want 1 each",
+			c["store.corrupt_quarantined"], c["store.wal_torn"])
 	}
 	s2 := New(Config{QueueDepth: 4, Workers: 2, Store: st2, Options: opts, Tracer: reg2})
 	defer s2.Drain(context.Background())
@@ -535,9 +553,9 @@ func TestServerCrashRecoveryEndToEnd(t *testing.T) {
 }
 
 // corruptStoreDB flips the bytes of the last on-disk occurrence of
-// needle inside store.db — damage the page checksum must catch. The
-// last occurrence is the live copy: earlier ones may be stale
-// copy-on-write page versions nothing references.
+// needle inside store.db — damage the record checksums must catch. The
+// last occurrence is the live copy: earlier ones may be superseded
+// records nothing references.
 func corruptStoreDB(t *testing.T, dir string, needle []byte) {
 	t.Helper()
 	path := filepath.Join(dir, "store.db")

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"facc"
 	"facc/internal/bench"
@@ -388,6 +389,38 @@ func TestServerFlightRecorderConcurrent(t *testing.T) {
 	if c["serve.slo_violations"] < c["serve.jobs_failed"] || c["serve.jobs_failed"] == 0 {
 		t.Errorf("slo_violations = %d with %d failed jobs",
 			c["serve.slo_violations"], c["serve.jobs_failed"])
+	}
+}
+
+// TestServerNoAdapterIsNotAnSLOViolation: a non-FFT program compiles to
+// the correct answer "no adapter". The job still reports failed with its
+// reason, but the service did not fail: the SLO books no violation, the
+// flight recorder's failure ring stays empty, and serve.no_adapter
+// counts it once.
+func TestServerNoAdapterIsNotAnSLOViolation(t *testing.T) {
+	tr := obs.New()
+	s := New(Config{QueueDepth: 2, Workers: 1, Tracer: tr, FlightRecorder: 4,
+		SLOLatency: time.Minute})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	v := decodeJob(t, post(t, ts, compileReq("int f(int x) { return x + 1; }"), "?wait=1"))
+	if v.State != string(Failed) || v.FailReason == "" {
+		t.Fatalf("non-FFT job = %+v, want state failed with a fail_reason", v)
+	}
+	c := tr.Metrics().Counters()
+	if c["serve.slo_total"] != 1 || c["serve.slo_violations"] != 0 {
+		t.Errorf("slo_violations = %d of %d, want 0 of 1", c["serve.slo_violations"], c["serve.slo_total"])
+	}
+	if c["serve.no_adapter"] != 1 || c["serve.jobs_failed"] != 0 {
+		t.Errorf("no_adapter = %d, jobs_failed = %d; want 1, 0", c["serve.no_adapter"], c["serve.jobs_failed"])
+	}
+	if burn := tr.Metrics().Gauges()["serve.slo_burn_rate"]; burn != 0 {
+		t.Errorf("slo_burn_rate = %v, want 0", burn)
+	}
+	if _, failed := s.flight.Len(); failed != 0 {
+		t.Errorf("flight recorder failure ring holds %d records, want 0", failed)
 	}
 }
 

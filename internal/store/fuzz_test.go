@@ -2,133 +2,78 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// fuzzPageSize keeps fuzz inputs small while exercising every format
-// path (header, meta payload, node items, WAL records).
-const fuzzPageSize = 256
-
-// fuzzSeedCorpus builds one valid specimen of every on-disk structure;
-// the fuzzer mutates them into hostile neighbours.
+// fuzzSeedCorpus builds one specimen of every shape the log decoder
+// meets after a crash; the fuzzer mutates them into hostile neighbours.
 func fuzzSeedCorpus() [][]byte {
-	var seeds [][]byte
+	one := encodeRecord(&Entry{Key: "aaaa", Target: "ffta", Function: "fft",
+		Sig: "void fft(float *x, int n)", AdapterC: "void fft(float *x, int n) {}", Trace: "t1"})
+	again := encodeRecord(&Entry{Key: "aaaa", Target: "vfft", AdapterC: "/* moved */"})
+	empty := encodeRecord(&Entry{})
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-	// A sealed leaf with an inline and a spilled item.
-	leaf := &node{typ: pageLeaf, items: []item{
-		{key: []byte("o\x00aaaa"), val: []byte(`{"key":"aaaa"}`)},
-		{key: []byte("o\x00bbbb"), ovfl: 7, ovflLen: 300, ovflCRC: 0xDEADBEEF},
-	}}
-	if buf, err := leaf.encode(fuzzPageSize, 3, 9); err == nil {
-		seeds = append(seeds, buf)
+	flipped := append([]byte(nil), one...)
+	flipped[headerSize+3] ^= 0x10 // body CRC fails
+	// CRCs recomputed over a wrong SHA-256: only the entry checksum
+	// catches it.
+	forged := append([]byte(nil), one...)
+	forged[len(forged)-1] ^= 0x01
+	seal(forged)
+
+	return [][]byte{
+		one,
+		cat(one, again),
+		empty,
+		cat(one, again[:len(again)/2]), // torn tail
+		cat(flipped, again),            // damaged body mid-log
+		forged,
+		[]byte("FREC\xff\xff\xff\xff torn mid-append"),
+		cat(one[:headerSize], []byte("FACCBT01 paged database")),
 	}
-	// A sealed branch.
-	branch := &node{typ: pageBranch, items: []item{
-		{key: []byte("o\x00aaaa"), child: 3},
-		{key: []byte("t\x00ffta"), child: 4},
-	}}
-	if buf, err := branch.encode(fuzzPageSize, 5, 9); err == nil {
-		seeds = append(seeds, buf)
-	}
-	// A meta page.
-	seeds = append(seeds, encodeMeta(meta{txid: 12, root: 5, npages: 9, freeHead: 8}, 0, fuzzPageSize))
-	// A freelist page.
-	_, _, fl := encodeFreelist([]uint64{3, 4, 6}, fuzzPageSize, 12, func() uint64 { return 8 })
-	for _, buf := range fl {
-		seeds = append(seeds, buf)
-	}
-	// An overflow page.
-	ov := make([]byte, fuzzPageSize)
-	copy(ov[pageHeaderSize:], []byte("spilled adapter bytes"))
-	sealPage(ov, pageOverflow, 21, 7, 9, 0)
-	seeds = append(seeds, ov)
-	// A WAL record wrapping two of the pages above.
-	pages := map[uint64][]byte{}
-	if len(seeds) >= 2 {
-		pages[3] = seeds[0]
-		pages[5] = seeds[1]
-	}
-	seeds = append(seeds, encodeWALRecord(meta{txid: 13, root: 5, npages: 9}, pages, fuzzPageSize))
-	// A truncated record and raw garbage.
-	if n := len(seeds); n > 0 {
-		last := seeds[n-1]
-		seeds = append(seeds, last[:len(last)/2])
-	}
-	seeds = append(seeds, []byte("FWAL\xff\xff\xff\xff not a record"))
-	return seeds
 }
 
-// FuzzStoreDecode throws hostile bytes at every on-disk decoder the
-// store trusts after a crash: page verification, node decoding, meta
-// decoding, and WAL record parsing. The contract under fuzzing is the
-// quarantine contract: hostile input yields errors (corrupt-page or
-// parse errors), never panics, and never a silently-accepted structure
-// that re-encodes differently (a wrong adapter in disguise).
+// FuzzStoreDecode throws hostile bytes at the log decoder the store
+// trusts after a crash. The contract under fuzzing is the quarantine
+// contract: hostile input yields rejected records or a shorter valid
+// prefix, never a panic, and never an accepted record that re-encodes
+// differently (a wrong adapter in disguise).
 func FuzzStoreDecode(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Page-shaped view: pad or trim to one page.
-		page := make([]byte, fuzzPageSize)
-		copy(page, data)
-
-		for _, id := range []uint64{0, 3} {
-			if err := verifyPage(page, id); err == nil {
-				// A page that passes verification must decode cleanly by
-				// type — structural garbage behind a valid checksum would
-				// mean the checksum covers too little.
-				switch typ := binary.LittleEndian.Uint16(page[4:6]); typ {
-				case pageLeaf, pageBranch:
-					n, derr := decodeNode(page, id)
-					if derr == nil {
-						// Round-trip: re-encoding a decoded node must
-						// reproduce content-identical items.
-						if buf, eerr := n.encode(fuzzPageSize, id, binary.LittleEndian.Uint64(page[16:24])); eerr == nil {
-							n2, derr2 := decodeNode(buf, id)
-							if derr2 != nil {
-								t.Fatalf("re-encoded node fails decode: %v", derr2)
-							}
-							if len(n2.items) != len(n.items) {
-								t.Fatalf("round-trip changed item count: %d != %d", len(n2.items), len(n.items))
-							}
-							for i := range n.items {
-								if !bytes.Equal(n.items[i].key, n2.items[i].key) || !bytes.Equal(n.items[i].val, n2.items[i].val) {
-									t.Fatalf("round-trip changed item %d", i)
-								}
-							}
-						}
-					}
-				case pageMeta:
-					decodeMeta(page, id, fuzzPageSize)
-				}
+		size := int64(len(data))
+		end, err := scan(bytes.NewReader(data), size, func(off int64, rec, key []byte) {
+			if off < 0 || off+int64(len(rec)) > size || !bytes.Equal(rec, data[off:off+int64(len(rec))]) {
+				t.Fatalf("record at %d is not the input's bytes", off)
 			}
-		}
-
-		// WAL-shaped view: arbitrary length.
-		recs, validLen, _ := decodeWALRecords(data, fuzzPageSize)
-		if validLen < 0 || validLen > int64(len(data)) {
-			t.Fatalf("wal validLen %d out of range [0,%d]", validLen, len(data))
-		}
-		for _, rec := range recs {
-			// Every page inside an accepted record must itself verify —
-			// replay writes these bytes straight into the database.
-			for id, img := range rec.pages {
-				if err := verifyPage(img, id); err != nil {
-					t.Fatalf("accepted WAL record carries unverified page: %v", err)
-				}
+			e, ok := decodeRecord(rec)
+			if ok != (key != nil) {
+				t.Fatalf("scan (key %q) and decodeRecord (ok=%v) disagree at %d", key, ok, off)
 			}
+			if !ok {
+				return
+			}
+			if e.Key != string(key) || e.Checksum != e.checksum() {
+				t.Fatalf("accepted record at %d: key %q vs %q, checksum %s", off, e.Key, key, e.Checksum)
+			}
+			if !bytes.Equal(encodeRecord(&e), rec) {
+				t.Fatalf("accepted record at %d re-encodes differently", off)
+			}
+		})
+		if err != nil {
+			t.Fatalf("scan of in-memory bytes: %v", err)
 		}
-
-		// Entry-shaped view: the JSON value layer rejects hostile bytes
-		// via checksum, never by panicking.
-		var e Entry
-		if json.Unmarshal(data, &e) == nil {
-			_ = e.Checksum == e.checksum()
+		if end < 0 || end > size {
+			t.Fatalf("valid prefix %d out of range [0,%d]", end, size)
+		}
+		// The prefix ends only where no whole record could start.
+		if n, ok := parseHeader(data[end:]); ok && int64(n) <= size-end-headerSize {
+			t.Fatalf("scan stopped at %d before a sound %d-byte record", end, n)
 		}
 	})
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # crash_matrix.sh — exhaustive crash-point injection over the adapter
-# store. Every page write, WAL append, fsync, truncate and rename in a
+# store. Every log append, fsync, truncate and rename in a
 # representative faccd workload is a numbered crash site; the store is
 # crashed at every site in every mode (clean loss, torn write, bit flip)
 # and must recover to a consistent, byte-identical-or-recompilable state
