@@ -85,7 +85,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,
 		"how long a SIGTERM drain waits for in-flight jobs before hard-cancelling")
 	tests := flag.Int("tests", 10, "default IO examples per candidate (requests may override)")
-	jflag := flag.Int("j", 0, "candidate-level parallelism per compile (0 = GOMAXPROCS)")
+	jflag := flag.Int("j", 0, "case-level parallelism per compile: IO cases of one candidate run at once (0 = GOMAXPROCS)")
 	faults := flag.String("faults", "",
 		`inject accelerator faults for chaos testing, e.g. "chaos" or "error=0.3,seed=7"`)
 	sloLatency := flag.Duration("slo-latency", time.Second,

@@ -1,14 +1,16 @@
 package facc
 
-// Determinism regression: parallel candidate fuzzing must be externally
+// Determinism regression: case-level parallelism must be externally
 // unobservable. Compiling the whole supported corpus with Workers=1 and
 // Workers=8 must yield byte-identical adapters and an identical provenance
 // journal (the winner, its verdicts, and every event up to it — only the
-// oracle cache-stats event may differ, since speculative work is real
-// work). This is the contract that lets -j default to GOMAXPROCS.
+// oracle cache-stats event may differ, since cases that ran above a kill
+// before they were cancelled did real lookups). This is the contract that
+// lets -j default to GOMAXPROCS.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"facc/internal/bench"
@@ -17,8 +19,8 @@ import (
 
 // journalKey renders a journal event for cross-worker-count comparison:
 // Seq is re-derived from the filtered position (oracle cache-stats events
-// are dropped — their hit/miss split legitimately reflects speculative
-// candidates), AtUs is wall-clock and excluded.
+// are dropped — their hit/miss split legitimately reflects cases that ran
+// above a kill), AtUs is wall-clock and excluded.
 func journalKey(events []obs.JournalEvent) []string {
 	var keys []string
 	for _, ev := range events {
@@ -108,7 +110,7 @@ func TestSynthesisDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // fateKey projects a journal down to candidate fates: which candidates
-// were emitted, pruned, fuzz-killed, superseded, survived and accepted —
+// were emitted, pruned, fuzz-killed, survived and accepted —
 // with the case-level attribution (test count at death, counterexample,
 // detail) removed. Counterexample replay exists precisely to kill losers
 // at an *earlier* discriminating case, so those fields legitimately vary
@@ -126,6 +128,19 @@ func fateKey(events []obs.JournalEvent) []string {
 	return keys
 }
 
+// killKey renders the kill events for cross-worker-count comparison.
+// Steps is excluded: a case whose reference run was already cached by a
+// case that ran above an earlier candidate's kill costs 0 steps, so it
+// varies with Workers.
+func killKey(k *KillTable) []string {
+	var keys []string
+	for _, ev := range k.Events() {
+		ev.Steps = 0
+		keys = append(keys, fmt.Sprintf("%+v", ev))
+	}
+	return keys
+}
+
 // TestSynthesisDeterminismMatrix extends the worker-count determinism
 // contract to the replay-first search: Workers ∈ {1, 8} × CexPool ∈
 // {absent, present-empty (fresh case order), present-primed (replay
@@ -135,10 +150,12 @@ func fateKey(events []obs.JournalEvent) []string {
 //     each candidate's own deterministic case batch; survival over a
 //     fixed case set is order-independent, so the pool can never change
 //     which adapter wins.
-//   - journals: byte-identical across worker counts within each pool
+//   - journals, -search-report text and kill events (minus steps):
+//     byte-identical across worker counts within each pool
 //     configuration (each compile replays the same pool snapshot), and
-//     byte-identical between the absent and present-empty columns (an
-//     empty pool has a nil replay rank — exactly the fresh case order).
+//     journals byte-identical between the absent and present-empty
+//     columns (an empty pool has a nil replay rank — exactly the fresh
+//     case order).
 //   - candidate fates: identical across ALL cells. Only the case-level
 //     kill attribution (which discriminating case, after how many
 //     tests) may differ under replay — that difference is the speedup.
@@ -174,11 +191,20 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 		journal []string
 		fates   []string
 	}
+	// matrixCell is one cell's outcomes plus its kill table, which
+	// records every compile of the cell.
+	type matrixCell struct {
+		name   string
+		out    map[string]outcome
+		report string
+		kills  []string
+	}
 	// pool returns a fresh Options.Cex per compile so every cell's
 	// compiles see identical pool state at entry (live recording during
 	// one compile must not leak into the next cell's comparison).
-	compileAll := func(workers int, pool func() *CexPool) map[string]outcome {
+	compileAll := func(name string, workers int, pool func() *CexPool) matrixCell {
 		out := map[string]outcome{}
+		kills := NewKillTable()
 		for _, bm := range bench.SupportedSuite() {
 			for _, target := range differentialTargets {
 				j := obs.NewJournal()
@@ -189,6 +215,7 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 					Workers:       workers,
 					Journal:       j,
 					Cex:           pool(),
+					Kills:         kills,
 				})
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", bm.Name, target, workers, err)
@@ -203,22 +230,23 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 				out[bm.Name+"/"+target] = o
 			}
 		}
-		return out
+		var report strings.Builder
+		if err := kills.WriteSearchReport(&report, 10); err != nil {
+			t.Fatal(err)
+		}
+		return matrixCell{name: name, out: out, report: report.String(), kills: killKey(kills)}
 	}
 
 	noPool := func() *CexPool { return nil }
 	emptyPool := func() *CexPool { return NewCexPool() }
 	primedPool := func() *CexPool { return primed.Clone() }
-	cells := []struct {
-		name string
-		out  map[string]outcome
-	}{
-		{"w1/no-pool", compileAll(1, noPool)},
-		{"w8/no-pool", compileAll(8, noPool)},
-		{"w1/empty-pool", compileAll(1, emptyPool)},
-		{"w8/empty-pool", compileAll(8, emptyPool)},
-		{"w1/replay", compileAll(1, primedPool)},
-		{"w8/replay", compileAll(8, primedPool)},
+	cells := []matrixCell{
+		compileAll("w1/no-pool", 1, noPool),
+		compileAll("w8/no-pool", 8, noPool),
+		compileAll("w1/empty-pool", 1, emptyPool),
+		compileAll("w8/empty-pool", 8, emptyPool),
+		compileAll("w1/replay", 1, primedPool),
+		compileAll("w8/replay", 8, primedPool),
 	}
 
 	base := cells[0].out
@@ -282,6 +310,27 @@ func TestSynthesisDeterminismMatrix(t *testing.T) {
 	sameJournals(cells[2].name, cells[2].out, cells[3].name, cells[3].out) // empty:   w1 == w8
 	sameJournals(cells[4].name, cells[4].out, cells[5].name, cells[5].out) // replay:  w1 == w8
 	sameJournals(cells[0].name, cells[0].out, cells[2].name, cells[2].out) // empty rank == fresh order
+
+	// Kill attribution: the search report and the kill events (minus
+	// steps) are identical across worker counts per pool config.
+	for i := 0; i < len(cells); i += 2 {
+		a, b := cells[i], cells[i+1]
+		if a.report != b.report {
+			t.Errorf("%s vs %s: search report differs:\n--- %s ---\n%s--- %s ---\n%s",
+				a.name, b.name, a.name, a.report, b.name, b.report)
+		}
+		if len(a.kills) != len(b.kills) {
+			t.Errorf("%s vs %s: %d vs %d kill events", a.name, b.name, len(a.kills), len(b.kills))
+			continue
+		}
+		for j := range a.kills {
+			if a.kills[j] != b.kills[j] {
+				t.Errorf("%s vs %s: kill event %d differs:\n  %s\n  %s",
+					a.name, b.name, j, a.kills[j], b.kills[j])
+				break
+			}
+		}
+	}
 
 	t.Logf("matrix verified: %d outcomes x %d cells (%d accepted adapters, %d primed counterexamples)",
 		len(base), len(cells), accepted, primed.Len())

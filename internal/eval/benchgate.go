@@ -103,14 +103,14 @@ func BenchGate(cfg GateConfig) (*GateReport, error) {
 				float64(base.Search.Killed), fk)
 		}
 		// ROADMAP targets promoted to floors on the fresh artifact.
-		// Speedup: parallel candidate search must not be a slowdown.
+		// Speedup: case-level parallelism must not be a slowdown.
 		// Strict ≥1.0 needs real cores and is absolute there (no
 		// baseline drift can relax it). On a GOMAXPROCS=1 host the
 		// Workers=N run executes a superset of the Workers=1 work on
-		// one core: the winner's cost plus whatever its losing rivals
-		// burned before cancellation, which the oracle only partly
-		// refunds (reference runs share; accelerator-side runs cannot).
-		// That speculation overhead is real and noisy (its volume
+		// one core: every case a candidate needs plus whatever cases
+		// above its kill ran before cancellation, which the oracle only
+		// partly refunds (reference runs share; accelerator-side runs
+		// cannot). That overhead is real and noisy (its volume
 		// depends on where cancellation lands), so the serialized gate
 		// is relative like the wall-time gates: the fresh ratio must
 		// not fall more than the tolerance below the committed

@@ -81,7 +81,7 @@ func CompileAll(ctx context.Context, targets []string, numTests int, tr *obs.Tra
 		workers = len(jobs)
 	}
 	// Two parallelism levels compose here: file-level workers (this pool)
-	// and candidate-level workers inside each synthesis (synth.Options.
+	// and case-level workers inside each synthesis (synth.Options.
 	// Workers). Splitting the CPU budget between them keeps the total
 	// goroutine pressure near GOMAXPROCS instead of workers × GOMAXPROCS.
 	synthWorkers := runtime.GOMAXPROCS(0) / workers

@@ -18,7 +18,7 @@ import (
 )
 
 // SynthBenchRun is one measured compile of the whole supported corpus at
-// a fixed candidate-worker count.
+// a fixed worker count.
 type SynthBenchRun struct {
 	Workers     int     `json:"workers"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -35,20 +35,17 @@ type SynthBenchRun struct {
 	OracleHitRate float64 `json:"oracle_hit_rate"`
 
 	// Cost-ledger attribution: where the interpreter work went. Useful
-	// tests ran on candidates that won; speculative tests ran on losers
-	// (superseded or killed by a parallel winner). WasteRatio =
-	// speculative / (useful + speculative) — the price of parallel
-	// speculation, paid for wall-clock speedup.
+	// tests ran on candidates that won; speculative tests ran on losers,
+	// including cases that ran above a kill before they were cancelled.
+	// WasteRatio = speculative / (useful + speculative).
 	UsefulTests      int64   `json:"useful_tests"`
 	SpeculativeTests int64   `json:"speculative_tests"`
 	WasteRatio       float64 `json:"waste_ratio"`
 	// WinnerOracleHits counts reference-run cache hits charged to winning
-	// candidates. At Workers=1 the first-winner search never fuzzes two
-	// same-signature candidates, so total hits are legitimately 0; at
-	// Workers=N nearly all hits land on speculative losers sharing the
-	// winner's reference runs. The headline hit rate therefore measures
-	// speculation-induced sharing, not cache quality — see Exhaustive for
-	// the controlled cache-effectiveness number.
+	// candidates. The first-winner search rarely fuzzes two
+	// same-signature candidates, so the headline hit rate says little
+	// about cache quality — see Exhaustive for the controlled
+	// cache-effectiveness number.
 	WinnerOracleHits int64 `json:"winner_oracle_hits"`
 
 	// PerTarget splits the oracle and waste numbers by accelerator.
@@ -69,9 +66,9 @@ type SynthBenchRunTarget struct {
 
 // SynthBenchExhaustive measures oracle-cache effectiveness with every
 // candidate tested (ExhaustAll), where reference-run sharing is the
-// norm rather than a speculation side effect. Functions with a single
-// surviving hypothesis can never hit the cache, so the headline number
-// is the hit rate restricted to multi-candidate functions.
+// norm rather than a rarity. Functions with a single surviving
+// hypothesis can never hit the cache, so the headline number is the
+// hit rate restricted to multi-candidate functions.
 type SynthBenchExhaustive struct {
 	Workers          int     `json:"workers"`
 	WallSeconds      float64 `json:"wall_seconds"`
@@ -136,11 +133,10 @@ type SynthBenchReport struct {
 	Runs       []SynthBenchRun       `json:"runs"`
 	Exhaustive *SynthBenchExhaustive `json:"exhaustive,omitempty"`
 
-	// Search is the search observatory's view of the first (Workers=1,
-	// deterministic) run: funnel totals, kill-depth distribution and the
-	// discriminating-input ranking. Kill counts depend on worker count
-	// (parallel speculation kills more candidates), so only the
-	// sequential run is recorded — it is reproducible across machines.
+	// Search is the search observatory's view of the first (Workers=1)
+	// run: funnel totals, kill-depth distribution and the
+	// discriminating-input ranking. Kill attribution is the same at every
+	// worker count, so one run is recorded.
 	Search *obs.SearchSummary `json:"search,omitempty"`
 
 	// CexPoolEntries is the counterexample pool size after the priming
@@ -149,8 +145,8 @@ type SynthBenchReport struct {
 	// run contaminates another's measurement).
 	CexPoolEntries int `json:"cex_pool_entries"`
 
-	// Speedup is wall(first run) / wall(last run) — ≥1 when parallel
-	// candidate fuzzing pays off. BenchGate floors it at 1.0 on
+	// Speedup is wall(first run) / wall(last run) — ≥1 when case-level
+	// parallelism pays off. BenchGate floors it at 1.0 on
 	// multi-core hosts; on GOMAXPROCS=1 the parallel run's work is a
 	// superset of the sequential run's on the same core, so the gate
 	// only demands parity within tolerance there.
@@ -164,7 +160,7 @@ type SynthBenchReport struct {
 // SynthBench compiles the supported corpus once per worker count and
 // measures the synthesis engine: wall-clock, fuzz throughput and
 // reference-oracle cache effectiveness. File-level compilation is kept
-// sequential so candidate-level parallelism is the only variable.
+// sequential so case-level parallelism is the only variable.
 // kills, when non-nil, receives the first (sequential) run's kill
 // attribution — pass the CLI's shared table so -search-report and
 // -cex-pool observe the same events as the report's search section; nil
@@ -231,10 +227,9 @@ func SynthBench(ctx context.Context, targets []string, numTests int, workerCount
 		for repIdx := 0; repIdx < speedReps; repIdx++ {
 			tr := obs.New()
 			led := obs.NewLedger()
-			// Kill attribution only on the first (sequential) run's
-			// first repetition: at Workers=N the winner races its rivals
-			// and kill counts become machine-dependent, which has no
-			// place in a committed artifact.
+			// Kill attribution only on the first run's first
+			// repetition: it is the same at every worker count, so one
+			// copy is enough.
 			var ktab *obs.KillTable
 			if runIdx == 0 && repIdx == 0 {
 				if kills == nil {
@@ -484,9 +479,9 @@ func (r *SynthBenchReport) WriteText(w io.Writer) {
 		}
 	}
 	if s := r.Search; s != nil {
-		fmt.Fprintf(w, "search (sequential run): %d generated → %d pre-filtered → %d dispatched → %d killed / %d superseded / %d survived → %d winner(s); %d case(s) killed >1 binding family\n",
+		fmt.Fprintf(w, "search (sequential run): %d generated → %d pre-filtered → %d dispatched → %d killed / %d survived → %d winner(s); %d case(s) killed >1 binding family\n",
 			s.Generated, s.PreFiltered, s.Dispatched, s.Killed,
-			s.Superseded, s.Survived, s.Winners, s.MultiFamilyCases)
+			s.Survived, s.Winners, s.MultiFamilyCases)
 	}
 	if ex := r.Exhaustive; ex != nil {
 		fmt.Fprintf(w, "exhaustive (all candidates, workers=%d): %d candidates in %.2fs, oracle %.0f%% overall, %.0f%% on %d multi-candidate functions\n",

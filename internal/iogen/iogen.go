@@ -330,39 +330,6 @@ func (g *Generator) Case(i int) Case {
 	return c
 }
 
-// CaseSize returns the accelerator length case i would use, without
-// drawing the (comparatively expensive) signal — the same size logic as
-// Case. The candidate pool's static cost model sums these.
-func (g *Generator) CaseSize(i int) int64 {
-	if !g.Viable() {
-		return 0
-	}
-	if i < len(g.sizes) {
-		return g.sizes[i]
-	}
-	return g.sizes[caseRng(g.candSeed, "size", int64(i)).Intn(len(g.sizes))]
-}
-
-// EstimateCost is the static cost model candidate dispatch orders by:
-// the summed accelerator lengths of the candidate's first numTests
-// cases (interpreter work per case grows with the array size) plus a
-// small surcharge per free scalar (each one widens the behavior the
-// fuzzer must discriminate). It is a pure function of
-// (seed, candidate, profile) — no run history — so the dispatch order
-// it induces is identical across processes and worker counts. A
-// non-viable candidate costs 0: it dies before any interpretation.
-func EstimateCost(seed int64, cand *binding.Candidate, profile *analysis.Profile, numTests int) int64 {
-	g := New(seed, cand, profile)
-	if !g.Viable() {
-		return 0
-	}
-	var cost int64
-	for i := 0; i < numTests; i++ {
-		cost += g.CaseSize(i)
-	}
-	return cost + int64(len(cand.FreeParams))*8
-}
-
 // fillScalars assigns pinned, direction-mapped and free scalar parameters.
 // Free parameters are deliberately randomized (including values unlike the
 // length) so bindings that secretly depend on them are caught.

@@ -92,12 +92,12 @@ func TestLedgerSummary(t *testing.T) {
 	l.ChargeOracle("fft", "ffta", "win", true)
 	l.ChargeOracle("fft", "ffta", "win", true)
 	l.SetVerdict("fft", "ffta", "win", VerdictWinner)
-	// Superseded loser: 30 tests, 1 hit 1 miss.
+	// Killed loser: 30 tests, 1 hit 1 miss.
 	l.ChargeTests("fft", "ffta", "lose", 30)
 	l.ChargeInterp("fft", "ffta", "lose", 150, 300)
 	l.ChargeOracle("fft", "ffta", "lose", true)
 	l.ChargeOracle("fft", "ffta", "lose", false)
-	l.SetVerdict("fft", "ffta", "lose", "superseded")
+	l.SetVerdict("fft", "ffta", "lose", "behavior-mismatch")
 	// A second target with only an undecided account.
 	l.ChargeTests("fft", "fftw", "x", 5)
 
@@ -123,7 +123,7 @@ func TestLedgerSummary(t *testing.T) {
 	if ffta.OracleHitRate != 0.75 {
 		t.Errorf("oracle hit rate = %g, want 0.75", ffta.OracleHitRate)
 	}
-	if ffta.Verdicts["winner"] != 1 || ffta.Verdicts["superseded"] != 1 {
+	if ffta.Verdicts["winner"] != 1 || ffta.Verdicts["behavior-mismatch"] != 1 {
 		t.Errorf("verdicts = %v", ffta.Verdicts)
 	}
 	if sum.Targets[1].Verdicts["undecided"] != 1 {
@@ -140,7 +140,7 @@ func TestLedgerCostReport(t *testing.T) {
 	l.ChargeTests("fft", "ffta", "win", 10)
 	l.SetVerdict("fft", "ffta", "win", VerdictWinner)
 	l.ChargeTests("fft", "ffta", "lose", 30)
-	l.SetVerdict("fft", "ffta", "lose", "superseded")
+	l.SetVerdict("fft", "ffta", "lose", "behavior-mismatch")
 
 	var sb strings.Builder
 	if err := l.WriteCostReport(&sb); err != nil {
@@ -152,7 +152,7 @@ func TestLedgerCostReport(t *testing.T) {
 		"target ffta:",
 		"useful 10 | speculative 30 (waste 75.0%)",
 		"winner ×1",
-		"superseded ×1",
+		"behavior-mismatch ×1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cost report missing %q:\n%s", want, out)
@@ -176,7 +176,7 @@ func TestLedgerPrometheus(t *testing.T) {
 	l.ChargeOracle("fft", "ffta", "win", true)
 	l.SetVerdict("fft", "ffta", "win", VerdictWinner)
 	l.ChargeTests("fft", "ffta", "lose", 30)
-	l.SetVerdict("fft", "ffta", "lose", "superseded")
+	l.SetVerdict("fft", "ffta", "lose", "behavior-mismatch")
 
 	var sb strings.Builder
 	if err := l.WritePrometheus(&sb); err != nil {

@@ -10,19 +10,18 @@ import (
 // The search observatory records *why* the generate-and-test loop
 // converges: which IO case killed which binding candidate, how early,
 // and how the candidate population moves through the funnel
-// (generated → pre-filtered → dispatched → killed/superseded →
-// survivor). The two ROADMAP synthesis items — parallel-search
-// economics and counterexample-guided synthesis — both act on this
-// signal; this file only measures it.
+// (generated → pre-filtered → dispatched → killed/survived → winner).
+// The synthesis engine's case-level parallelism and its
+// counterexample-guided replay both act on this signal; this file only
+// measures it.
 //
 // KillTable follows the Ledger's scoped-view pattern: NewKillTable
 // allocates shared state, Scoped stamps a per-request view with a trace
 // ID, and every method is safe (and a zero-allocation no-op) on a nil
 // receiver so disabled observability costs nothing on the verdict path.
-// Like the ledger — and unlike the journal, which buffers speculative
-// work and replays only the winner's prefix — the kill table records
-// parallel speculation as it happens: wasted kills are precisely the
-// search-economics evidence it exists to collect.
+// The engine tests candidates in enumeration order and records each
+// verdict once, on the candidate's goroutine, so the table is the same
+// for every worker count apart from KillEvent.Steps.
 
 // KillEvent records one candidate's death, attributed to the
 // discriminating IO case that caused it. CaseIndex is -1 when no single
@@ -53,8 +52,8 @@ type funnelKey struct {
 // Funnel counts one (trace, function, target) search population through
 // its stages. Generated counts every hypothesis the enumerator formed;
 // PreFiltered those rejected before fuzzing (heuristics, dedup, cap);
-// Dispatched candidates that entered IO testing; Killed/Superseded/
-// Survived their fates; Winners the accepted adapters.
+// Dispatched candidates that entered IO testing; Killed/Survived their
+// fates; Winners the accepted adapters.
 type Funnel struct {
 	Trace       string `json:"trace,omitempty"`
 	Function    string `json:"function"`
@@ -63,7 +62,6 @@ type Funnel struct {
 	PreFiltered int64  `json:"pre_filtered"`
 	Dispatched  int64  `json:"dispatched"`
 	Killed      int64  `json:"killed"`
-	Superseded  int64  `json:"superseded"`
 	Survived    int64  `json:"survived"`
 	Winners     int64  `json:"winners"`
 }
@@ -156,12 +154,6 @@ func (k *KillTable) AddPreFiltered(function, target string, n int64) {
 // AddDispatched credits candidates that entered IO testing.
 func (k *KillTable) AddDispatched(function, target string, n int64) {
 	k.add(function, target, n, func(f *Funnel, n int64) { f.Dispatched += n })
-}
-
-// AddSuperseded credits candidates cancelled because an earlier
-// candidate already survived.
-func (k *KillTable) AddSuperseded(function, target string, n int64) {
-	k.add(function, target, n, func(f *Funnel, n int64) { f.Superseded += n })
 }
 
 // AddSurvived credits candidates that passed every IO test.
@@ -276,7 +268,6 @@ type TargetSearch struct {
 	PreFiltered      int64  `json:"pre_filtered"`
 	Dispatched       int64  `json:"dispatched"`
 	Killed           int64  `json:"killed"`
-	Superseded       int64  `json:"superseded"`
 	Survived         int64  `json:"survived"`
 	Winners          int64  `json:"winners"`
 	MultiFamilyCases int    `json:"multi_family_cases"`
@@ -291,7 +282,6 @@ type SearchSummary struct {
 	PreFiltered int64 `json:"pre_filtered"`
 	Dispatched  int64 `json:"dispatched"`
 	Killed      int64 `json:"killed"`
-	Superseded  int64 `json:"superseded"`
 	Survived    int64 `json:"survived"`
 	Winners     int64 `json:"winners"`
 
@@ -360,7 +350,6 @@ func (k *KillTable) summarize(want func(trace string) bool) *SearchSummary {
 		sum.PreFiltered += f.PreFiltered
 		sum.Dispatched += f.Dispatched
 		sum.Killed += f.Killed
-		sum.Superseded += f.Superseded
 		sum.Survived += f.Survived
 		sum.Winners += f.Winners
 		t := target(f.Target)
@@ -368,7 +357,6 @@ func (k *KillTable) summarize(want func(trace string) bool) *SearchSummary {
 		t.PreFiltered += f.PreFiltered
 		t.Dispatched += f.Dispatched
 		t.Killed += f.Killed
-		t.Superseded += f.Superseded
 		t.Survived += f.Survived
 		t.Winners += f.Winners
 	}
@@ -432,7 +420,7 @@ func (k *KillTable) summarize(want func(trace string) bool) *SearchSummary {
 
 // WriteSearchReport renders the human search report: the funnel, the
 // kill-depth distribution, and the top-N discriminating inputs.
-// Deterministic for a deterministic table (fixed seed, Workers=1).
+// Deterministic for a deterministic table (fixed seed, any Workers).
 func (k *KillTable) WriteSearchReport(out io.Writer, topN int) error {
 	sum := k.Summary()
 	w := &errWriter{w: out}
@@ -440,9 +428,9 @@ func (k *KillTable) WriteSearchReport(out io.Writer, topN int) error {
 		fmt.Fprintf(w, "search observatory: no events recorded\n")
 		return w.err
 	}
-	fmt.Fprintf(w, "search funnel: %d generated, %d pre-filtered, %d dispatched, %d killed, %d superseded, %d survived, %d winner(s)\n",
+	fmt.Fprintf(w, "search funnel: %d generated, %d pre-filtered, %d dispatched, %d killed, %d survived, %d winner(s)\n",
 		sum.Generated, sum.PreFiltered, sum.Dispatched, sum.Killed,
-		sum.Superseded, sum.Survived, sum.Winners)
+		sum.Survived, sum.Winners)
 	fmt.Fprintf(w, "\nkill depth (0-based case index at death):\n")
 	for _, b := range sum.KillDepth {
 		if b.CaseIndex < 0 {
@@ -500,7 +488,6 @@ func (k *KillTable) WritePrometheus(out io.Writer) error {
 			{"pre_filtered", t.PreFiltered},
 			{"dispatched", t.Dispatched},
 			{"killed", t.Killed},
-			{"superseded", t.Superseded},
 			{"survived", t.Survived},
 			{"winner", t.Winners},
 		} {

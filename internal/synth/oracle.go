@@ -183,8 +183,9 @@ func newOracle(f *minic.File, fn *minic.FuncDecl, target string, workers int,
 }
 
 // acquire takes a machine token from the pool, building the machine on
-// first use. It respects ctx so a cancelled candidate does not sit in the
-// queue behind long-running reference executions.
+// first use. It respects ctx so a cancelled case does not sit in the
+// queue behind long-running reference executions; it then returns a bare
+// ctx.Err(), which the case runner books as a cancellation.
 func (o *oracle) acquire(ctx context.Context) (*interp.Machine, error) {
 	select {
 	case m := <-o.machines:

@@ -26,10 +26,10 @@ func TestPanicInAcceleratorIsIsolated(t *testing.T) {
 	tr := obs.New()
 	j := obs.NewJournal()
 	sp := tr.Span("synthesize")
-	// Workers: 1 — this backend closure is not synchronized, and the
-	// blast-radius assertions below reason about sequential order.
+	// Workers: 2 — the panic happens in a case goroutine and must still
+	// reach the candidate's shield; this backend closure is stateless.
 	res, err := Synthesize(context.Background(), f, f.Func("fft"), spec, pow2Profile("n"),
-		Options{NumTests: 4, Obs: sp, Journal: j, Workers: 1})
+		Options{NumTests: 4, Obs: sp, Journal: j, Workers: 2})
 	sp.End()
 	if err != nil {
 		t.Fatalf("panics escalated into a synthesis error: %v", err)

@@ -1,271 +1,208 @@
-// Candidate-level parallelism for generate-and-test. The pool fuzzes
-// binding candidates concurrently but reports *sequential* semantics: the
-// winner, the Tested/Survivors counts, and the journaled verdicts are the
-// ones a Workers=1 run would produce, regardless of goroutine scheduling.
+// In-order generate-and-test with case-level parallelism. Candidates are
+// tested strictly in enumeration order: the first survivor wins, and no
+// candidate runs before every earlier one is decided, so the winner, the
+// Tested/Survivors counts, the journal and the kill table are those of
+// the plain sequential loop.
 //
-// Three mechanisms make that hold:
+// Parallelism lives inside one candidate. Up to Workers of its IO cases
+// run at once — each case is the reference run through the shared
+// oracle, the device run and the sketch compare — and their results are
+// folded in replay order, so the verdict is the one the case-by-case
+// loop reaches: the kill is the lowest failing position. Once a kill is
+// known, every position above it is cancelled and its result discarded.
+// Workers=1 is the same runner with one worker: one case at a time,
+// stopping at the kill.
 //
-//   - frontier-first dispatch: the lowest-index undecided candidate (the
-//     only one that can resolve the search next) is always dispatched
-//     before anything else, so candidate i never starves behind
-//     speculation. Remaining worker slots are speculative, and they are
-//     spent cheapest-first by a static cost model (iogen.EstimateCost:
-//     summed test-case sizes plus a free-parameter surcharge) — a pure
-//     function of the candidate, so the dispatch order is itself
-//     deterministic. At Workers=1 the frontier rule degenerates to exact
-//     enumeration order: a sequential search has no speculative budget
-//     to allocate;
-//   - first-winner-by-index selection: a surviving candidate only becomes
-//     the winner once every lower-indexed candidate has been decided
-//     against. Until then it is the "minimum survivor", which bounds the
-//     useful search — in-flight candidates above it are cancelled with
-//     errSuperseded (distinguished from timeouts via context.Cause) and
-//     their outcomes discarded;
-//   - buffered journals: each candidate records its verdicts into a
-//     private journal, flushed into the real one in candidate order and
-//     only up to the winner, so the provenance stream is byte-stable
-//     across worker counts (timestamps aside).
-//
-// Metrics counters (synth.tests_run, interp.*) deliberately keep counting
-// speculative work that the deterministic Result discards — they describe
-// effort spent, not the search outcome.
+// Metrics counters (synth.tests_run, interp.*) and the ledger keep
+// counting cases that ran above a kill before they were cancelled —
+// they describe effort spent, not the search outcome.
 package synth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"facc/internal/analysis"
+	"facc/internal/behave"
 	"facc/internal/binding"
+	"facc/internal/interp"
 	"facc/internal/iogen"
 	"facc/internal/minic"
 	"facc/internal/obs"
 )
 
-// errSuperseded cancels a speculative candidate once a lower-indexed one
-// has survived: the pool uses it as a context cancel cause so the fault
-// boundary can tell "you lost the race" apart from "you timed out".
-var errSuperseded = errors.New("superseded by an earlier surviving candidate")
+// sketches is the canonical post-behavioral sketch order; bit i of a
+// sketch mask stands for sketches[i].
+var sketches = behave.Sketches()
 
-// candOutcome is one candidate's result awaiting in-order resolution.
-type candOutcome struct {
-	decided    bool
-	superseded bool
-	ad         *Adapter
-	err        error
-	events     []obs.JournalEvent
-}
+// allSketches is the mask with every sketch alive.
+var allSketches = uint(1)<<len(sketches) - 1
 
-// runCandidates evaluates cands on `workers` goroutines and returns the
-// deterministic (winner, tested, survivors) triple — identical to what
-// the sequential loop would report. On error (whole-run cancellation,
-// interpreter construction failure) the counts are meaningless and the
-// caller must discard the Result.
+// runCandidates tests cands in enumeration order and returns the winner
+// with the (tested, survivors) counts. On error (whole-run cancellation)
+// the counts are meaningless and the caller must discard the Result.
 func runCandidates(ctx context.Context, fn *minic.FuncDecl,
 	cands []*binding.Candidate, profile *analysis.Profile, opts Options,
-	orc *oracle, replay map[string]int, workers int) (*Adapter, int, int, error) {
-
-	poolCtx, cancelPool := context.WithCancelCause(ctx)
-	defer cancelPool(nil)
-
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	var reg *obs.Registry
-	if opts.Obs != nil {
-		reg = opts.Obs.Metrics()
-	}
-
-	// Static dispatch costs: what each candidate's full fuzz batch is
-	// expected to cost in interpreter work. Computed once, before any
-	// worker runs, from (seed, candidate, profile) only — never from run
-	// history — so every process, at every worker count, orders its
-	// speculation identically.
-	costs := make([]int64, len(cands))
-	for i, c := range cands {
-		costs[i] = iogen.EstimateCost(opts.Seed, c, profile, opts.NumTests)
-	}
-
-	outcomes := make([]candOutcome, len(cands))
-	var (
-		mu          sync.Mutex
-		dispatched  = make([]bool, len(cands))
-		minSurvivor = -1
-		inflight    = map[int]context.CancelCauseFunc{}
-		busy        atomic.Int64
-	)
-
-	// pick (mu held) chooses the next candidate to dispatch, or -1 when
-	// no dispatch can still affect the result. Only indices below the
-	// current minimum survivor are eligible — anything above it already
-	// lost the by-index race (ExhaustAll lifts that bound).
-	pick := func() int {
-		limit := len(cands)
-		if !opts.ExhaustAll && minSurvivor >= 0 {
-			limit = minSurvivor
-		}
-		first, cheapest := -1, -1
-		for j := 0; j < limit; j++ {
-			if dispatched[j] {
-				continue
-			}
-			if first < 0 {
-				first = j
-			}
-			if cheapest < 0 || costs[j] < costs[cheapest] {
-				cheapest = j
-			}
-		}
-		if first < 0 {
-			return -1
-		}
-		// Frontier rule: when every index below the lowest undispatched
-		// candidate is decided, that candidate is the search frontier —
-		// the only one whose survival can end the run — so it outranks
-		// speculation. Otherwise the freed slot is pure speculation, and
-		// the cost model spends it on the cheapest open hypothesis.
-		for k := 0; k < first; k++ {
-			if !outcomes[k].decided {
-				return cheapest
-			}
-		}
-		return first
-	}
-
-	evalOne := func(i int, candCtx context.Context) candOutcome {
-		copts := opts
-		var buf *obs.Journal
-		if opts.Journal != nil {
-			buf = obs.NewJournal()
-			copts.Journal = buf
+	orc *oracle, replay map[string]int) (*Adapter, int, int, error) {
+	var winner *Adapter
+	survivors := 0
+	for i, cand := range cands {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, 0, fmt.Errorf("synth: %s: %w", fn.Name, err)
 		}
 		var fsp *obs.Span
 		if opts.Obs != nil {
 			fsp = opts.Obs.Child("fuzz").
-				Str("binding", cands[i].Key()).
+				Str("binding", cand.Key()).
 				Int("candidate", int64(i+1))
 		}
-		ad, err := evalCandidate(ctx, candCtx, fn, cands[i], profile, copts, fsp, orc, replay)
+		ad, err := evalCandidate(ctx, fn, cand, profile, opts, fsp, orc, replay)
 		fsp.End()
-		out := candOutcome{decided: true, ad: ad, err: err,
-			superseded: errors.Is(err, errSuperseded)}
-		if out.superseded {
-			out.err = nil
+		if err != nil {
+			return nil, 0, 0, err
 		}
-		if buf != nil {
-			out.events = buf.Events()
+		if ad == nil {
+			continue
 		}
-		return out
+		if !opts.ExhaustAll {
+			return ad, i + 1, 1, nil
+		}
+		survivors++
+		if winner == nil {
+			winner = ad
+		}
 	}
+	return winner, len(cands), survivors, nil
+}
 
+// caseResult is one replay position's outcome, recorded independently of
+// every other position.
+type caseResult struct {
+	done      bool // the case ran (possibly cut short); false = never started
+	cancelled bool // the reference run was cut short by its context
+	panicked  bool
+	pval      any   // the recovered panic value
+	refErr    error // the reference run faulted (out-of-bounds, ...)
+	devErr    error // the device rejected the input
+	// mask has bit i set when sketches[i] reproduces the user output.
+	// It is 0 whenever the case cannot survive (fault, rejection,
+	// cancellation, panic), so a zero mask always ends the fold.
+	mask  uint
+	ret   *int64
+	steps int64
+}
+
+// runCases runs one candidate's cases on up to workers goroutines and
+// returns each replay position's result with the number of cases that
+// started. Positions start in replay order. A position above the lowest
+// known kill is never started, and one already running is cancelled, so
+// its result (if any) lies above the kill and the fold never reads it. A
+// position left unstarted because ctx expired reads as not done.
+func runCases(ctx context.Context, cand *binding.Candidate, cases []iogen.Case,
+	order []int, orc *oracle, workers int, tol float64) ([]caseResult, int) {
+	n := len(order)
+	res := make([]caseResult, n)
+	cancels := make([]context.CancelFunc, n)
+	var (
+		mu     sync.Mutex
+		next   int           // next position to start
+		kill   = n           // lowest position known to end the fold
+		folded int           // positions below this are folded into alive
+		alive  = allSketches // sketches surviving positions [0, folded)
+		busy   atomic.Int64
+	)
+	worker := func() {
+		for {
+			mu.Lock()
+			// Accelerator retries/backoff can dominate a case under fault
+			// injection, so honor the deadline between cases too, not just
+			// inside the interpreter.
+			if next >= n || next > kill || ctx.Err() != nil {
+				mu.Unlock()
+				return
+			}
+			p, mask := next, alive
+			next++
+			pctx, cancel := context.WithCancel(ctx)
+			cancels[p] = cancel
+			mu.Unlock()
+
+			orc.reg.Gauge("synth.pool_busy").Set(float64(busy.Add(1)))
+			r := runCase(pctx, cand, cases[order[p]], order[p], orc, mask, tol)
+			orc.reg.Gauge("synth.pool_busy").Set(float64(busy.Add(-1)))
+			cancel()
+
+			mu.Lock()
+			res[p] = r
+			if r.mask == 0 && p < kill {
+				kill = p
+			}
+			for ; folded < kill && res[folded].done; folded++ {
+				if alive &= res[folded].mask; alive == 0 {
+					kill = folded
+				}
+			}
+			for q := kill + 1; q < next; q++ {
+				cancels[q]()
+			}
+			mu.Unlock()
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := -1
-				if poolCtx.Err() == nil {
-					i = pick()
-				}
-				if i < 0 {
-					mu.Unlock()
-					return
-				}
-				dispatched[i] = true
-				candCtx, cancel := context.WithCancelCause(poolCtx)
-				inflight[i] = cancel
-				mu.Unlock()
-
-				reg.Gauge("synth.pool_busy").Set(float64(busy.Add(1)))
-				out := evalOne(i, candCtx)
-				reg.Gauge("synth.pool_busy").Set(float64(busy.Add(-1)))
-
-				mu.Lock()
-				outcomes[i] = out
-				delete(inflight, i)
-				if out.ad != nil && !opts.ExhaustAll &&
-					(minSurvivor < 0 || i < minSurvivor) {
-					minSurvivor = i
-					for j, c := range inflight {
-						if j > i {
-							c(errSuperseded)
-						}
-					}
-				}
-				mu.Unlock()
-				cancel(nil)
-			}
+			worker()
 		}()
 	}
 	wg.Wait()
+	return res, next
+}
 
-	// flush replays buffered journal events for candidates 0..upto in
-	// candidate order — the order the sequential engine would have
-	// recorded them.
-	flush := func(upto int) {
-		if opts.Journal == nil {
-			return
+// runCase runs case tc (the caseIdx-th of cand's batch) and records its
+// outcome. Only the sketches in alive are compared: the rest already
+// failed a lower position, so their bits cannot matter to the fold. A
+// panic is recovered here and handed to the fold, which re-raises it on
+// the candidate's goroutine.
+func runCase(ctx context.Context, cand *binding.Candidate, tc iogen.Case,
+	caseIdx int, orc *oracle, alive uint, tol float64) (r caseResult) {
+	defer func() {
+		if v := recover(); v != nil {
+			r = caseResult{done: true, panicked: true, pval: v}
 		}
-		for i := 0; i <= upto && i < len(outcomes); i++ {
-			for _, ev := range outcomes[i].events {
-				opts.Journal.Record(ev)
-			}
+	}()
+	r.done = true
+	userOut, ret, steps, err := orc.run(ctx, cand, tc, caseIdx)
+	r.steps = steps
+	if err != nil {
+		// Any error while the case's context is done is a cancellation,
+		// never evidence against the binding: a cancelled machine acquire
+		// returns a bare ctx.Err(), which is no interpreter fault.
+		if interp.FaultOf(err) == interp.FaultCancelled || ctx.Err() != nil {
+			r.cancelled = true
+		} else {
+			r.refErr = err
+		}
+		return r
+	}
+	r.ret = ret
+	accelOut, err := runAccel(cand, tc)
+	if err != nil {
+		r.devErr = err
+		return r
+	}
+	for i, op := range sketches {
+		if alive&(1<<i) == 0 {
+			continue
+		}
+		patched := append([]complex128(nil), accelOut...)
+		op.Apply(patched)
+		if vectorsClose(userOut, patched, tol) {
+			r.mask |= 1 << i
 		}
 	}
-
-	cancelled := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("synth: %s: %w", fn.Name, err)
-		}
-		return fmt.Errorf("synth: %s: %w", fn.Name, context.Canceled)
-	}
-
-	if opts.ExhaustAll {
-		var winner *Adapter
-		survivors := 0
-		for i := range outcomes {
-			o := &outcomes[i]
-			if !o.decided {
-				return nil, 0, 0, cancelled()
-			}
-			if o.err != nil {
-				return nil, 0, 0, o.err
-			}
-			if o.ad != nil {
-				survivors++
-				if winner == nil {
-					winner = o.ad
-				}
-			}
-		}
-		flush(len(outcomes) - 1)
-		return winner, len(cands), survivors, nil
-	}
-
-	// First-winner mode: resolve candidates in index order, exactly as
-	// the sequential loop would have encountered them.
-	for i := range outcomes {
-		o := &outcomes[i]
-		if !o.decided || o.superseded {
-			// Dispatch stopped (or the candidate was killed) before a
-			// winner at a lower index was established: only whole-run
-			// cancellation does that.
-			return nil, 0, 0, cancelled()
-		}
-		if o.err != nil {
-			flush(i - 1)
-			return nil, 0, 0, o.err
-		}
-		if o.ad != nil {
-			flush(i)
-			return o.ad, i + 1, 1, nil
-		}
-	}
-	flush(len(outcomes) - 1)
-	return nil, len(cands), 0, nil
+	return r
 }

@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"facc/internal/accel"
 	"facc/internal/analysis"
+	"facc/internal/binding"
+	"facc/internal/interp"
+	"facc/internal/iogen"
 	"facc/internal/minic"
 	"facc/internal/obs"
 )
@@ -111,33 +116,183 @@ func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPoolNoSpuriousTimeouts: a candidate cancelled because an earlier one
-// already won must be discarded as "superseded", not misclassified as a
-// timeout (which would pollute robustness metrics and provenance).
-func TestPoolNoSpuriousTimeouts(t *testing.T) {
-	f, err := minic.ParseAndCheck("t.c", dirFlagSrc)
+// guardedFFT prefixes radix2Struct's body with guard, so a fixture can
+// make chosen case sizes (ffta tests n = 64, 128, 256 smallest-first
+// under pow2Profile("n")) loop, fault or mismatch on purpose.
+func guardedFFT(guard string) string {
+	return strings.Replace(radix2Struct, "void fft(cpx* x, int n) {\n",
+		"void fft(cpx* x, int n) {\n"+guard, 1)
+}
+
+// synthFixture compiles src's fft against ffta under pow2Profile("n")
+// with the given options, tracing into a fresh tracer and journal.
+func synthFixture(t *testing.T, src string, opts Options) (*Result, *obs.Tracer, *obs.Journal) {
+	t.Helper()
+	f, err := minic.ParseAndCheck("t.c", src)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	for run := 0; run < 5; run++ {
-		tr := obs.New()
-		sp := tr.Span("synthesize")
-		j := obs.NewJournal()
-		_, err := Synthesize(context.Background(), f, f.Func("fft_dir"),
-			accel.NewFFTWLib(), pow2Profile("n", 16, 32, 64),
-			Options{NumTests: 4, Workers: 8, Obs: sp, Journal: j})
-		sp.End()
-		if err != nil {
-			t.Fatalf("synthesize: %v", err)
+	tr := obs.New()
+	sp := tr.Span("synthesize")
+	j := obs.NewJournal()
+	opts.Obs, opts.Journal = sp, j
+	res, err := Synthesize(context.Background(), f, f.Func("fft"), accel.NewFFTA(),
+		pow2Profile("n"), opts)
+	sp.End()
+	if err != nil {
+		t.Fatalf("synthesize (workers=%d): %v", opts.Workers, err)
+	}
+	return res, tr, j
+}
+
+// fuzzVerdicts renders every fuzz verdict as outcome/tests/mismatch.
+func fuzzVerdicts(j *obs.Journal) []string {
+	var out []string
+	for _, ev := range j.Events() {
+		if ev.Kind == obs.KindFuzz {
+			out = append(out, fmt.Sprintf("%s|%s|tests=%d|%s",
+				ev.Candidate, ev.Outcome, ev.Tests, ev.Mismatch))
 		}
+	}
+	return out
+}
+
+// TestCancelLaterCaseFailingFirst: the verdict comes from the lowest
+// failing replay position, not the first case to finish. The smallest
+// case loops for a while and then mismatches, while the next case
+// faults at once; at Workers=2 the fault finishes first, yet every
+// candidate must die of a behavior mismatch at case 0, as at Workers=1.
+func TestCancelLaterCaseFailingFirst(t *testing.T) {
+	src := guardedFFT(`    if (n == 64) {
+        double acc = 0.0;
+        for (int i = 0; i < 100000; i++) { acc = acc + 1.0; }
+        x[0].re = acc;
+        return;
+    }
+    if (n == 128) { x[n * 64].re = 1.0; }
+`)
+	_, _, j1 := synthFixture(t, src, Options{NumTests: 3, Workers: 1})
+	_, _, j2 := synthFixture(t, src, Options{NumTests: 3, Workers: 2})
+	seq, par := fuzzVerdicts(j1), fuzzVerdicts(j2)
+	if len(seq) == 0 {
+		t.Fatal("fixture drifted: no candidate was fuzzed")
+	}
+	for _, v := range seq {
+		if !strings.HasSuffix(v, "|behavior-mismatch|tests=1|behavior-mismatch") {
+			t.Errorf("workers=1 verdict %q, want a behavior mismatch at case 0", v)
+		}
+	}
+	if strings.Join(par, "\n") != strings.Join(seq, "\n") {
+		t.Errorf("workers=2 verdicts differ from workers=1:\n%s\nvs\n%s",
+			strings.Join(par, "\n"), strings.Join(seq, "\n"))
+	}
+}
+
+// TestCancelAboveKillIsNotTimeout: cases cancelled because a lower
+// position already killed the candidate are discarded, never reported as
+// a timeout — not in the journal and not in synth.candidate_timeouts —
+// even with a per-candidate budget configured. The smallest case runs
+// briefly and faults, while the next one, started beside it, would run
+// until its step fuel is spent.
+func TestCancelAboveKillIsNotTimeout(t *testing.T) {
+	src := guardedFFT(`    if (n == 64) {
+        for (int i = 0; i < 20000; i++) { n = n + 0; }
+        x[n * 64].re = 1.0;
+    }
+    if (n == 128) { while (1) { n = n + 1; } }
+`)
+	for run := 0; run < 3; run++ {
+		_, tr, j := synthFixture(t, src,
+			Options{NumTests: 3, Workers: 2, CandidateTimeout: time.Minute})
 		if got := tr.Metrics().Counters()["synth.candidate_timeouts"]; got != 0 {
-			t.Fatalf("run %d: %d candidate timeouts with no timeout configured", run, got)
+			t.Fatalf("run %d: %d candidate timeouts from cases cancelled above a kill", run, got)
 		}
-		for _, ev := range j.Events() {
-			if ev.Kind == obs.KindFuzz && (ev.Outcome == "timeout" || ev.Outcome == "superseded") {
-				t.Fatalf("run %d: %q verdict leaked into the journal", run, ev.Outcome)
+		verdicts := fuzzVerdicts(j)
+		if len(verdicts) == 0 {
+			t.Fatal("fixture drifted: no candidate was fuzzed")
+		}
+		for _, v := range verdicts {
+			if !strings.Contains(v, "|fault|tests=1|") {
+				t.Fatalf("run %d: verdict %q, want a fault at case 0", run, v)
 			}
 		}
+		// Uncancelled, the runaway case would spend its whole step fuel
+		// (40M) before faulting.
+		if steps := tr.Metrics().Counters()["interp.steps"]; steps >= 40_000_000 {
+			t.Fatalf("run %d: %d interpreter steps: the case above the kill was not cancelled",
+				run, steps)
+		}
+	}
+}
+
+// TestCancelHungCandidateByTimeout: CandidateTimeout covers a
+// candidate's whole case batch, so at Workers=2 a candidate whose every
+// case hangs is still rejected with a "timeout" verdict and synthesis
+// moves on to the next candidate.
+func TestCancelHungCandidateByTimeout(t *testing.T) {
+	src := guardedFFT("    while (1) { n = n + 1; }\n")
+	res, tr, j := synthFixture(t, src,
+		Options{NumTests: 3, Workers: 2, CandidateTimeout: 50 * time.Millisecond})
+	if res.Adapter != nil {
+		t.Fatal("an adapter survived a program that never returns")
+	}
+	verdicts := fuzzVerdicts(j)
+	if len(verdicts) != res.Tested || res.Tested == 0 {
+		t.Fatalf("%d fuzz verdicts for %d tested candidates", len(verdicts), res.Tested)
+	}
+	for _, v := range verdicts {
+		if !strings.Contains(v, "|timeout|tests=0|") {
+			t.Errorf("verdict %q, want a timeout", v)
+		}
+	}
+	if got := tr.Metrics().Counters()["synth.candidate_timeouts"]; got != int64(res.Tested) {
+		t.Errorf("synth.candidate_timeouts = %d, want %d", got, res.Tested)
+	}
+}
+
+// TestCancelledRunIsNeverAFault: a case run under a cancelled context is
+// a cancellation, never evidence against the binding. A machine acquire
+// racing ctx.Done returns a bare ctx.Err(), which the interpreter's
+// fault classifier maps to "none"; the runner must not book that as a
+// fault, and the candidate's fold must not turn it into a kill.
+func TestCancelledRunIsNeverAFault(t *testing.T) {
+	f, err := minic.ParseAndCheck("t.c", radix2Struct)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	fn, spec, prof := f.Func("fft"), accel.NewFFTA(), pow2Profile("n")
+	cands := binding.Enumerate(analysis.AnalyzeFunc(f, fn), spec, prof, binding.Options{})
+	if len(cands) == 0 {
+		t.Fatal("fixture drifted: no candidates")
+	}
+	cand := cands[0]
+	opts := Options{Workers: 2}
+	opts.defaults()
+	tc := iogen.New(opts.Seed, cand, prof).Case(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for i := 0; i < 200; i++ {
+		orc := newOracle(f, fn, spec.Name, 1, nil, nil, nil)
+		if r := runCase(ctx, cand, tc, 0, orc, allSketches, opts.Tolerance); r.refErr != nil {
+			t.Fatalf("run %d: cancelled run booked as fault %q (%v)",
+				i, interp.FaultOf(r.refErr), r.refErr)
+		}
+	}
+
+	opts.Kills, opts.Journal = obs.NewKillTable(), obs.NewJournal()
+	orc := newOracle(f, fn, spec.Name, opts.Workers, nil, nil, nil)
+	ad, err := testCandidate(ctx, fn, cand, prof, opts, nil, orc, nil)
+	if ad != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled candidate: adapter=%v err=%v, want a context.Canceled error", ad, err)
+	}
+	for _, ev := range opts.Journal.Events() {
+		if ev.Kind == obs.KindFuzz {
+			t.Errorf("cancelled candidate journaled a %q verdict", ev.Outcome)
+		}
+	}
+	for _, ev := range opts.Kills.Events() {
+		t.Errorf("cancelled candidate recorded a kill: %+v", ev)
 	}
 }
 
@@ -184,7 +339,7 @@ func TestPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = Synthesize(ctx, f, f.Func("fft"), accel.NewFFTA(), pow2Profile("n"),
-		Options{NumTests: 4, Workers: 4})
+		Options{NumTests: 4, Workers: 2})
 	if err == nil {
 		t.Fatal("cancelled synthesis returned no error")
 	}

@@ -8,9 +8,9 @@ package synth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -66,18 +66,18 @@ type Options struct {
 	// on — one hung candidate costs one candidate, not the compile. Zero
 	// disables the per-candidate budget.
 	CandidateTimeout time.Duration
-	// StopAtFirst stops at the first surviving candidate (default true
-	// behavior is used when false too — survivors are still counted only
-	// among tested candidates when this is set).
+	// ExhaustAll tests every candidate instead of stopping at the first
+	// survivor: Result.Survivors then counts every candidate that passed,
+	// and the winner is still the first survivor in enumeration order.
 	ExhaustAll bool
-	// Workers bounds candidate-level parallelism: up to Workers binding
-	// candidates are fuzz-tested concurrently, sharing one reference-
-	// oracle cache. 0 (the default) means GOMAXPROCS; 1 is fully
-	// sequential. The Result, the generated adapter and the journaled
-	// verdicts are deterministic — identical for every Workers value —
-	// because the pool resolves candidates in enumeration order (see
-	// pool.go); only metrics counters and span counts reflect the extra
-	// speculative work.
+	// Workers bounds case-level parallelism: up to Workers of one
+	// candidate's IO cases run concurrently, sharing one reference-oracle
+	// cache, while candidates themselves are tested strictly in
+	// enumeration order. 0 (the default) means GOMAXPROCS; 1 runs one
+	// case at a time. The Result, the generated adapter, the journaled
+	// verdicts and the kill table are identical for every Workers value
+	// (see pool.go); only metrics counters and the ledger reflect cases
+	// that ran above a kill before they were cancelled.
 	Workers int
 	// Obs is the enclosing pipeline span: analysis, binding enumeration,
 	// per-candidate fuzzing and range-check synthesis report as children
@@ -92,7 +92,8 @@ type Options struct {
 	// Ledger, when non-nil, charges every interpreter test, interpreter
 	// step and oracle lookup to the candidate that caused it, with the
 	// candidate's final verdict separating useful work (the winner) from
-	// speculative waste (losers). Every call site guards with a nil check
+	// speculative waste (losers, including cases that ran above a kill
+	// before they were cancelled). Every call site guards with a nil check
 	// before rendering the candidate key, so nil (the default) allocates
 	// nothing on the hot path.
 	Ledger *obs.Ledger
@@ -100,11 +101,13 @@ type Options struct {
 	// non-survivor's death attributed to the discriminating IO case
 	// (seed, case index, interp steps at death, mismatch kind, binding
 	// family) as an obs.KillEvent, plus the per-(function, target)
-	// search funnel. Like the ledger — and unlike the journal — it
-	// records speculative parallel work as it happens, because wasted
-	// kills are the search-economics signal it exists to measure. Every
-	// call site guards with a nil check before rendering keys, so nil
-	// (the default) allocates nothing on the verdict path.
+	// search funnel. Kills are recorded in candidate order with the
+	// verdict the sequential loop reaches, so the table is identical for
+	// every Workers value apart from KillEvent.Steps (a case whose
+	// reference run was already cached by a case that ran above an
+	// earlier candidate's kill costs 0 steps). Every call site guards
+	// with a nil check before rendering keys, so nil (the default)
+	// allocates nothing on the verdict path.
 	Kills *obs.KillTable
 	// Oracle, when non-nil, is a shared reference-run cache: its keys
 	// are target-independent (see OracleCache), so one cache handed to
@@ -139,6 +142,9 @@ func (o *Options) defaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 424242
+	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -187,21 +193,17 @@ func Synthesize(ctx context.Context, f *minic.File, fn *minic.FuncDecl,
 		res.FailReason = "interface-incompatibility"
 		return res, nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var reg *obs.Registry
 	if opts.Obs != nil {
 		reg = opts.Obs.Metrics()
 	}
-	orc := newOracle(f, fn, spec.Name, workers, reg, opts.Ledger, opts.Oracle)
+	orc := newOracle(f, fn, spec.Name, opts.Workers, reg, opts.Ledger, opts.Oracle)
 	// One ranking snapshot per synthesis: kills recorded during this run
 	// feed the live pool (for the next function/request) but never
 	// reorder this run's own cases, so replay order — and the journal —
 	// is a pure function of the pool state at entry.
 	replay := opts.Cex.ReplayRank()
-	winner, tested, survivors, err := runCandidates(ctx, fn, cands, profile, opts, orc, replay, workers)
+	winner, tested, survivors, err := runCandidates(ctx, fn, cands, profile, opts, orc, replay)
 	if err != nil {
 		return nil, err
 	}
@@ -384,21 +386,18 @@ func replayOrder(cases []iogen.Case, replay map[string]int, seed int64) []int {
 }
 
 // evalCandidate runs one candidate's fuzz evaluation inside the fault
-// boundary: a per-candidate deadline (opts.CandidateTimeout) and a panic
-// shield. A candidate that times out or panics is rejected — journaled
-// with a "timeout"/"panic" verdict — and synthesis continues; only a
-// cancellation of the enclosing runCtx aborts the whole run. candCtx is
-// the pool's per-candidate context (== runCtx when sequential): when it
-// was cancelled with cause errSuperseded, an earlier candidate already
-// won and the verdict is returned as errSuperseded for the pool to
-// discard, rather than being misclassified as a timeout.
-func evalCandidate(runCtx, candCtx context.Context, fn *minic.FuncDecl,
+// boundary: a per-candidate deadline (opts.CandidateTimeout) covering the
+// whole case batch, and a panic shield. A candidate that times out or
+// panics is rejected — journaled with a "timeout"/"panic" verdict — and
+// synthesis continues; only a cancellation of the enclosing ctx aborts
+// the whole run.
+func evalCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
 	sp *obs.Span, orc *oracle, replay map[string]int) (ad *Adapter, err error) {
-	cctx := candCtx
+	cctx := ctx
 	if opts.CandidateTimeout > 0 {
 		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(candCtx, opts.CandidateTimeout)
+		cctx, cancel = context.WithTimeout(ctx, opts.CandidateTimeout)
 		defer cancel()
 	}
 	defer func() {
@@ -419,45 +418,33 @@ func evalCandidate(runCtx, candCtx context.Context, fn *minic.FuncDecl,
 		}
 	}()
 	ad, err = testCandidate(cctx, fn, cand, profile, opts, sp, orc, replay)
-	if err != nil && (interp.FaultOf(err) == interp.FaultCancelled ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		if cerr := runCtx.Err(); cerr != nil {
-			// The compilation itself was cancelled — propagate.
-			return nil, fmt.Errorf("synth: %s: %w", fn.Name, cerr)
-		}
-		if errors.Is(context.Cause(candCtx), errSuperseded) {
-			// An earlier candidate survived while this one was running;
-			// its outcome is discarded from the journal, but the ledger
-			// keeps the account — superseded work is exactly the
-			// speculative waste it exists to measure.
-			sp.Str("outcome", "superseded")
-			if opts.Ledger != nil {
-				opts.Ledger.SetVerdict(fn.Name, cand.Spec.Name, cand.Key(), "superseded")
-			}
-			opts.Kills.AddSuperseded(fn.Name, cand.Spec.Name, 1)
-			return nil, errSuperseded
-		}
-		// Only the per-candidate budget expired: reject this candidate.
-		sp.Str("outcome", "timeout")
-		if opts.Obs != nil {
-			opts.Obs.Metrics().Counter("synth.candidate_timeouts").Inc()
-		}
-		verdict(opts, fn.Name, cand, "timeout", 0, "",
-			fmt.Sprintf("candidate exceeded its %s budget", opts.CandidateTimeout))
-		if killSinks(opts) {
-			recordKill(opts, fn.Name, cand, nil, -1, 0, "timeout", "")
-		}
-		return nil, nil
+	if err == nil {
+		return ad, nil
 	}
-	return ad, err
+	if cerr := ctx.Err(); cerr != nil {
+		// The compilation itself was cancelled — propagate.
+		return nil, fmt.Errorf("synth: %s: %w", fn.Name, cerr)
+	}
+	// Only the per-candidate budget expired: reject this candidate.
+	sp.Str("outcome", "timeout")
+	if opts.Obs != nil {
+		opts.Obs.Metrics().Counter("synth.candidate_timeouts").Inc()
+	}
+	verdict(opts, fn.Name, cand, "timeout", 0, "",
+		fmt.Sprintf("candidate exceeded its %s budget", opts.CandidateTimeout))
+	if killSinks(opts) {
+		recordKill(opts, fn.Name, cand, nil, -1, 0, "timeout", "")
+	}
+	return nil, nil
 }
 
 // testCandidate fuzz-tests one binding candidate. It returns a validated
-// adapter, or nil when the candidate is behaviorally wrong or faults; a
-// FaultCancelled interpreter error propagates so evalCandidate can
-// distinguish a candidate timeout from a compilation cancel. sp (may be
-// nil) receives test-count/outcome attributes; reference executions run
-// on orc's shared machine pool, which attributes interpreter counters.
+// adapter, or nil when the candidate is behaviorally wrong or faults. Its
+// only error is a cancellation of ctx before the verdict was reached,
+// which evalCandidate classifies as a candidate timeout or a compilation
+// cancel. sp (may be nil) receives test-count/outcome attributes;
+// reference executions run on orc's shared machine pool, which
+// attributes interpreter counters.
 func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	cand *binding.Candidate, profile *analysis.Profile, opts Options,
 	sp *obs.Span, orc *oracle, replay map[string]int) (*Adapter, error) {
@@ -475,11 +462,8 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 	}
 	cases := gen.Cases(opts.NumTests)
 	order := replayOrder(cases, replay, opts.Seed)
+	results, ran := runCases(ctx, cand, cases, order, orc, opts.Workers, opts.Tolerance)
 
-	// All post-behavioral sketches start alive; each case prunes.
-	alive := behave.Sketches()
-
-	ran := 0
 	if sp != nil {
 		defer func() {
 			sp.Int("tests", int64(ran))
@@ -490,118 +474,87 @@ func testCandidate(ctx context.Context, fn *minic.FuncDecl,
 		}()
 	}
 	if opts.Ledger != nil {
-		// Charged on every exit path — a candidate killed mid-case still
-		// pays for the cases it ran; that is the speculative waste the
-		// ledger measures.
+		// Charged on every exit path — every case that ran is paid for,
+		// including cases above the kill that were cancelled mid-run;
+		// that is the speculative waste the ledger measures.
 		defer func() {
 			opts.Ledger.ChargeTests(fn.Name, cand.Spec.Name, cand.Key(), int64(ran))
 		}()
 	}
 
+	// Fold the positions in replay order: the kill is the first position
+	// that faults, is rejected by the device, or empties the running
+	// intersection of post-behavioral sketches.
+	alive := allSketches
 	var returnVals []int64
 	var returnCases []int // original case index per returnVals entry (kill sinks only)
-	sawReturn := false
-	var steps int64 // interp steps this candidate paid, so far
-
-	for _, caseIdx := range order {
+	var steps int64       // interp steps this candidate paid, up to the current position
+	for p, caseIdx := range order {
+		r := &results[p]
+		if r.panicked {
+			panic(r.pval)
+		}
+		if !r.done || r.cancelled {
+			// Deadline/cancel, not evidence against the binding — let
+			// evalCandidate classify it.
+			return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", ctx.Err())
+		}
+		steps += r.steps
 		tc := cases[caseIdx]
-		// Accelerator retries/backoff can dominate a case under fault
-		// injection, so honor the deadline between cases too, not just
-		// inside the interpreter.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("synth: candidate evaluation cancelled: %w", err)
-		}
-		ran++
-		userOut, retVal, ranSteps, runErr := orc.run(ctx, cand, tc, caseIdx)
-		steps += ranSteps
-		if runErr != nil {
-			if interp.FaultOf(runErr) == interp.FaultCancelled {
-				// Deadline/cancel, not evidence against the binding —
-				// let evalCandidate classify it.
-				return nil, runErr
-			}
+		var outcome, detail, killDetail string
+		switch {
+		case r.refErr != nil:
 			// Interpreter fault (OOB, etc.) — wrong binding.
-			sp.Str("outcome", "fault").Str("fault", interp.FaultOf(runErr).String())
-			if opts.Journal != nil || opts.Ledger != nil {
-				cex := ""
-				if opts.Journal != nil {
-					cex = renderCase(tc)
-				}
-				verdict(opts, fn.Name, cand, "fault", ran, cex,
-					interp.FaultOf(runErr).String())
-			}
-			if killSinks(opts) {
-				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					interp.FaultOf(runErr).String(), "")
-			}
-			return nil, nil
-		}
-		if retVal != nil {
-			sawReturn = true
-			returnVals = append(returnVals, *retVal)
-			if killSinks(opts) {
-				returnCases = append(returnCases, caseIdx)
-			}
-		}
-		accelOut, err := runAccel(cand, tc)
-		if err != nil {
+			outcome, detail = "fault", interp.FaultOf(r.refErr).String()
+		case r.devErr != nil:
 			// The accelerator rejected the input (should not happen for
 			// generated cases); treat as candidate failure.
-			sp.Str("outcome", "domain-error")
-			if opts.Journal != nil || opts.Ledger != nil {
-				cex := ""
-				if opts.Journal != nil {
-					cex = renderCase(tc)
+			outcome, detail = "domain-error", r.devErr.Error()
+			killDetail = detail
+		default:
+			if r.ret != nil {
+				returnVals = append(returnVals, *r.ret)
+				if killSinks(opts) {
+					returnCases = append(returnCases, caseIdx)
 				}
-				verdict(opts, fn.Name, cand, "domain-error", ran, cex, err.Error())
 			}
-			if killSinks(opts) {
-				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					"domain-error", err.Error())
+			if alive &= r.mask; alive != 0 {
+				continue
 			}
-			return nil, nil
+			outcome, detail = "behavior-mismatch",
+				"no post-behavioral sketch reproduces the user output"
 		}
-		var next []behave.PostOp
-		for _, op := range alive {
-			patched := append([]complex128(nil), accelOut...)
-			op.Apply(patched)
-			if vectorsClose(userOut, patched, opts.Tolerance) {
-				next = append(next, op)
-			}
+		mismatch := outcome
+		sp.Str("outcome", outcome)
+		if outcome == "fault" {
+			mismatch = detail
+			sp.Str("fault", detail)
 		}
-		alive = next
-		if len(alive) == 0 {
-			sp.Str("outcome", "behavior-mismatch")
-			if opts.Journal != nil || opts.Ledger != nil {
-				cex := ""
-				if opts.Journal != nil {
-					cex = renderCase(tc)
-				}
-				verdict(opts, fn.Name, cand, "behavior-mismatch", ran, cex,
-					"no post-behavioral sketch reproduces the user output")
-			}
-			if killSinks(opts) {
-				recordKill(opts, fn.Name, cand, &tc, caseIdx, steps,
-					"behavior-mismatch", "")
-			}
-			return nil, nil
+		cex := ""
+		if opts.Journal != nil {
+			cex = renderCase(tc)
 		}
+		verdict(opts, fn.Name, cand, outcome, p+1, cex, detail)
+		if killSinks(opts) {
+			recordKill(opts, fn.Name, cand, &tc, caseIdx, steps, mismatch, killDetail)
+		}
+		return nil, nil
 	}
 
 	ad := &Adapter{
 		FuncName:    fn.Name,
 		Cand:        cand,
-		Post:        alive[0], // identity-first canonical order
+		Post:        sketches[bits.TrailingZeros(alive)], // identity-first canonical order
 		TestsPassed: len(cases),
 	}
-	if cand.ReturnIgnored && sawReturn {
+	if cand.ReturnIgnored && len(returnVals) > 0 {
 		c := returnVals[0]
 		for i, v := range returnVals {
 			if v != c {
 				// Return value depends on input; cannot reproduce.
 				sp.Str("outcome", "return-mismatch")
 				if opts.Journal != nil || opts.Ledger != nil {
-					verdict(opts, fn.Name, cand, "return-mismatch", ran, "",
+					verdict(opts, fn.Name, cand, "return-mismatch", len(order), "",
 						fmt.Sprintf("return value varies across inputs (%d vs %d)", c, v))
 				}
 				if killSinks(opts) {

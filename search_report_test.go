@@ -10,10 +10,10 @@ import (
 // two-region translation unit the explain golden uses: scale's two
 // binding candidates both die on case 0 (two distinct binding families
 // — the discriminating-input ranking's acceptance property), fft's
-// first candidate survives and wins. Workers=1 and the fixed fuzz seed
-// make this byte-stable; if it drifts, kill-attribution semantics
-// changed.
-const searchReportGolden = `search funnel: 8 generated, 4 pre-filtered, 3 dispatched, 2 killed, 0 superseded, 1 survived, 1 winner(s)
+// first candidate survives and wins. The fixed fuzz seed makes this
+// byte-stable at any worker count; if it drifts, kill-attribution
+// semantics changed.
+const searchReportGolden = `search funnel: 8 generated, 4 pre-filtered, 3 dispatched, 2 killed, 1 survived, 1 winner(s)
 
 kill depth (0-based case index at death):
   case 0: 2 kill(s)
@@ -46,7 +46,7 @@ typedef struct { double re; double im; } cpx;`)
 	res, err := Compile("two.c", src, TargetFFTA, Options{
 		ProfileValues: map[string][]int64{"n": {64, 128, 256}},
 		NumTests:      4,
-		Workers:       1, // kill counts are only deterministic sequentially
+		Workers:       1,
 		Kills:         k,
 	})
 	if err != nil {
